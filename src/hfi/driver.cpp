@@ -240,7 +240,7 @@ sim::Task<Result<long>> HfiDriver::ioctl(os::OpenFile& f, unsigned long cmd, voi
         co_return Errno::enospc;
       }
       while (fd.read<std::uint64_t>("tid_used") + pages > quota) {
-        if (!cfg.hfi_tid_quota_evict || ctx->tid_order.empty()) {
+        if (!cfg.hfi_tid_quota_evict || ctx->tids.empty()) {
           as.put_user_pages(*pinned);
           co_return Errno::enospc;
         }
@@ -262,8 +262,7 @@ sim::Task<Result<long>> HfiDriver::ioctl(os::OpenFile& f, unsigned long cmd, voi
           // Roll back this call's entries; pins for them move back too.
           for (const std::uint32_t t : args->tids) {
             (void)device_.rcv_array().unprogram(ctx->hw_ctxt, t);
-            ctx->tid_pins.erase(t);
-            std::erase(ctx->tid_order, t);
+            (void)unlink_tid(*ctx, t);  // its pin is in *pinned, released below
           }
           as.put_user_pages(*pinned);
           args->tids.clear();
@@ -272,10 +271,7 @@ sim::Task<Result<long>> HfiDriver::ioctl(os::OpenFile& f, unsigned long cmd, voi
         args->tids.push_back(*tid);
         // Ownership of this frame's pin transfers to the TID record; it is
         // released at TID_FREE (or close), not at ioctl return.
-        mem::PinnedPages single;
-        single.frames.push_back(frame);
-        ctx->tid_pins[*tid] = std::move(single);
-        ctx->tid_order.push_back(*tid);
+        link_tid(*ctx, *tid, TidRecord{frame, /*pinned=*/true});
         ++tid_programs_;
       }
       fd.write<std::uint64_t>("tid_used", fd.read<std::uint64_t>("tid_used") + pages);
@@ -293,13 +289,11 @@ sim::Task<Result<long>> HfiDriver::ioctl(os::OpenFile& f, unsigned long cmd, voi
       std::uint64_t released_pages = 0;
       for (const std::uint32_t tid : args->tids) {
         if (!device_.rcv_array().unprogram(ctx->hw_ctxt, tid).ok()) co_return Errno::einval;
-        auto it = ctx->tid_pins.find(tid);
-        if (it != ctx->tid_pins.end()) {
-          released_pages += it->second.frames.size();
-          as.put_user_pages(it->second);
-          ctx->tid_pins.erase(it);
+        const std::optional<TidRecord> rec = unlink_tid(*ctx, tid);
+        if (rec && rec->pinned) {
+          ++released_pages;
+          as.put_user_page(rec->frame);
         }
-        std::erase(ctx->tid_order, tid);
       }
       fd.write<std::uint64_t>("tid_used",
                               fd.read<std::uint64_t>("tid_used") - released_pages);
@@ -365,7 +359,9 @@ sim::Task<Result<long>> HfiDriver::close(os::OpenFile& f) {
   if (ctx == nullptr) co_return Errno::einval;
   co_await linux_.engine().delay(from_us(8.0));
   mem::AddressSpace& as = f.proc->as();
-  for (auto& [tid, pins] : ctx->tid_pins) as.put_user_pages(pins);
+  ctx->tids.for_each([&](std::uint32_t, const TidRecord& rec) {
+    if (rec.pinned) as.put_user_page(rec.frame);
+  });
   device_.close_context(ctx->hw_ctxt);
   (void)linux_.kheap().kfree(ctx->filedata, alloc_cpu());
   (void)linux_.kheap().kfree(ctx->ctxtdata, alloc_cpu());
@@ -374,46 +370,65 @@ sim::Task<Result<long>> HfiDriver::close(os::OpenFile& f) {
   co_return 0L;
 }
 
-Status HfiDriver::account_tid_pin(os::OpenFile& f, std::uint32_t tid, mem::PinnedPages pins) {
+void HfiDriver::link_tid(FileCtx& ctx, std::uint32_t tid, TidRecord rec) {
+  assert(ctx.tids.find(tid) == nullptr && "TID registered twice");
+  rec.older = ctx.newest_tid;
+  rec.newer = kNoTid;
+  if (ctx.newest_tid == kNoTid)
+    ctx.oldest_tid = tid;
+  else
+    ctx.tids.find(ctx.newest_tid)->newer = tid;
+  ctx.newest_tid = tid;
+  ctx.tids[tid] = rec;
+}
+
+std::optional<HfiDriver::TidRecord> HfiDriver::unlink_tid(FileCtx& ctx, std::uint32_t tid) {
+  const TidRecord* found = ctx.tids.find(tid);
+  if (found == nullptr) return std::nullopt;
+  const TidRecord rec = *found;
+  if (rec.older == kNoTid)
+    ctx.oldest_tid = rec.newer;
+  else
+    ctx.tids.find(rec.older)->newer = rec.newer;
+  if (rec.newer == kNoTid)
+    ctx.newest_tid = rec.older;
+  else
+    ctx.tids.find(rec.newer)->older = rec.older;
+  ctx.tids.erase(tid);
+  return rec;
+}
+
+Status HfiDriver::account_tid(os::OpenFile& f, std::uint32_t tid) {
   FileCtx* ctx = fctx(f);
   if (ctx == nullptr) return Errno::einval;
-  ctx->tid_pins[tid] = std::move(pins);
-  ctx->tid_order.push_back(tid);
+  link_tid(*ctx, tid, TidRecord{});
   ++tid_programs_;
   return Status::success();
 }
 
-Result<mem::PinnedPages> HfiDriver::release_tid_pin(os::OpenFile& f, std::uint32_t tid) {
+Status HfiDriver::release_tid(os::OpenFile& f, std::uint32_t tid) {
   FileCtx* ctx = fctx(f);
   if (ctx == nullptr) return Errno::einval;
-  auto it = ctx->tid_pins.find(tid);
-  if (it == ctx->tid_pins.end()) return Errno::enoent;
-  mem::PinnedPages pins = std::move(it->second);
-  ctx->tid_pins.erase(it);
-  std::erase(ctx->tid_order, tid);
-  return pins;
+  const std::optional<TidRecord> rec = unlink_tid(*ctx, tid);
+  if (!rec) return Errno::enoent;
+  if (rec->pinned) f.proc->as().put_user_page(rec->frame);
+  return Status::success();
 }
 
 Result<std::uint64_t> HfiDriver::evict_lru_tid(os::OpenFile& f) {
   FileCtx* ctx = fctx(f);
   if (ctx == nullptr) return Errno::einval;
-  if (ctx->tid_order.empty()) return Errno::enoent;
-  const std::uint32_t tid = ctx->tid_order.front();
-  ctx->tid_order.erase(ctx->tid_order.begin());
+  if (ctx->oldest_tid == kNoTid) return Errno::enoent;
+  const std::uint32_t tid = ctx->oldest_tid;
+  const TidRecord rec = *unlink_tid(*ctx, tid);
   (void)device_.rcv_array().unprogram(ctx->hw_ctxt, tid);
-  std::uint64_t freed = 1;
-  auto it = ctx->tid_pins.find(tid);
-  if (it != ctx->tid_pins.end()) {
-    if (!it->second.frames.empty()) {
-      freed = it->second.frames.size();
-      f.proc->as().put_user_pages(it->second);
-    }
-    ctx->tid_pins.erase(it);
-  }
+  if (rec.pinned) f.proc->as().put_user_page(rec.frame);
+  // A TID is one accounting unit: a page on the Linux path, an extent on
+  // the fast path.
   StructImage fd = image(ctx->filedata, "hfi1_filedata");
-  fd.write<std::uint64_t>("tid_used", fd.read<std::uint64_t>("tid_used") - freed);
+  fd.write<std::uint64_t>("tid_used", fd.read<std::uint64_t>("tid_used") - 1);
   linux_.profiler().bump("hfi.tid.quota_evict");
-  return freed;
+  return std::uint64_t{1};
 }
 
 }  // namespace pd::hfi

@@ -14,10 +14,11 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "src/common/flat_map.hpp"
 #include "src/hfi/layouts.hpp"
 #include "src/hfi/uapi.hpp"
 #include "src/hw/hfi_device.hpp"
@@ -66,9 +67,11 @@ class HfiDriver final : public os::CharDevice {
   mem::PhysAddr filedata_image(const os::OpenFile& f) const;
   mem::PhysAddr ctxtdata_image(const os::OpenFile& f) const;
 
-  /// Per-context TID accounting shared with the fast path.
-  Status account_tid_pin(os::OpenFile& f, std::uint32_t tid, mem::PinnedPages pins);
-  Result<mem::PinnedPages> release_tid_pin(os::OpenFile& f, std::uint32_t tid);
+  /// Per-context TID accounting shared with the fast path. The fast path
+  /// registers TIDs over LWK memory, which is pinned already; releasing a
+  /// TID the Linux path registered drops its get_user_pages() pin.
+  Status account_tid(os::OpenFile& f, std::uint32_t tid);
+  Status release_tid(os::OpenFile& f, std::uint32_t tid);
 
   /// Quota reclamation (`Config::hfi_tid_quota_evict`): unprogram and unpin
   /// this context's least-recently-registered TID entry. Strictly per-tenant
@@ -88,14 +91,32 @@ class HfiDriver final : public os::CharDevice {
   mem::VirtAddr completion_callback_text() const;
 
  private:
+  static constexpr std::uint32_t kNoTid = UINT32_MAX;
+
+  /// One registered TID: the frame it holds pinned (Linux path only) and
+  /// its neighbours in the context's registration order.
+  struct TidRecord {
+    mem::PhysAddr frame = 0;
+    bool pinned = false;
+    std::uint32_t older = kNoTid;
+    std::uint32_t newer = kNoTid;
+  };
+
   struct FileCtx {
     mem::PhysAddr filedata = 0;
     mem::PhysAddr ctxtdata = 0;
     int hw_ctxt = -1;
-    std::map<std::uint32_t, mem::PinnedPages> tid_pins;
-    // Registration order (front = oldest) driving per-tenant LRU eviction.
-    std::vector<std::uint32_t> tid_order;
+    // Registered TIDs, linked oldest to newest: the per-tenant LRU
+    // eviction order, with O(1) removal of any TID.
+    FlatMap32<TidRecord> tids;
+    std::uint32_t oldest_tid = kNoTid;
+    std::uint32_t newest_tid = kNoTid;
   };
+
+  /// Append `tid` to the context's registration order.
+  static void link_tid(FileCtx& ctx, std::uint32_t tid, TidRecord rec);
+  /// Forget `tid`; its record (pin included) when it was registered.
+  static std::optional<TidRecord> unlink_tid(FileCtx& ctx, std::uint32_t tid);
 
   FileCtx* fctx(const os::OpenFile& f) const { return static_cast<FileCtx*>(f.driver_ctx); }
   StructImage image(mem::PhysAddr addr, const char* struct_name) const;

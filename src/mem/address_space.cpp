@@ -5,6 +5,24 @@
 
 namespace pd::mem {
 
+namespace {
+
+/// Key of the 4 KiB frame containing `pa` in the pin table.
+std::uint32_t frame_number(PhysAddr pa) {
+  const PhysAddr n = pa / kPage4K;
+  assert(n < FlatMap32<std::uint32_t>::kEmptyKey && "frame number must fit the 32-bit key");
+  return static_cast<std::uint32_t>(n);
+}
+
+/// Whether `pa` lies in one of the address-sorted, disjoint extents.
+bool covers(const std::vector<PhysExtent>& sorted, PhysAddr pa) {
+  auto it = std::upper_bound(sorted.begin(), sorted.end(), pa,
+                             [](PhysAddr x, const PhysExtent& e) { return x < e.pa; });
+  return it != sorted.begin() && pa < std::prev(it)->pa + std::prev(it)->len;
+}
+
+}  // namespace
+
 AddressSpace::AddressSpace(PhysMap& phys, BackingPolicy policy, MemKind preferred_kind,
                            VirtAddr mmap_base, std::uint64_t rng_seed)
     : phys_(phys),
@@ -94,9 +112,9 @@ Result<VirtAddr> AddressSpace::mmap_anonymous(std::uint64_t len, std::uint32_t p
     Status s = pt_.map_range(cur, *pa, chunk, leaf, prot);
     assert(s.ok());
     (void)s;
+    // The chunk stays pinned for as long as it is mapped; the pin is the
+    // backing itself, not a per-frame count (see held_extents()).
     backings.push_back(Backing{*pa, chunk, leaf});
-    // Pin every 4 KiB frame in the chunk.
-    for (std::uint64_t off = 0; off < chunk; off += kPage4K) ++pin_counts_[*pa + off];
     cur += chunk;
     remaining -= chunk;
   }
@@ -120,14 +138,7 @@ Result<VirtAddr> AddressSpace::mmap_device(PhysAddr pa, std::uint64_t len, std::
 void AddressSpace::release_backing(const Vma& vma) {
   auto it = backings_.find(vma.start);
   if (it == backings_.end()) return;
-  for (const auto& b : it->second) {
-    if (vma.pinned)
-      for (std::uint64_t off = 0; off < b.len; off += kPage4K) {
-        auto pin = pin_counts_.find(b.pa + off);
-        if (pin != pin_counts_.end() && --pin->second == 0) pin_counts_.erase(pin);
-      }
-    phys_.free(b.pa, b.len);
-  }
+  for (const auto& b : it->second) phys_.free(b.pa, b.len);
   backings_.erase(it);
 }
 
@@ -186,18 +197,21 @@ Result<PinnedPages> AddressSpace::get_user_pages(VirtAddr va, std::uint64_t len)
       return Errno::efault;
     }
     const PhysAddr frame = page_floor(t->pa, kPage4K);
-    ++pin_counts_[frame];
+    ++gup_pins_[frame_number(frame)];
     pages.frames.push_back(frame);
   }
   return pages;
 }
 
 void AddressSpace::put_user_pages(const PinnedPages& pages) {
-  for (PhysAddr frame : pages.frames) {
-    auto it = pin_counts_.find(frame);
-    assert(it != pin_counts_.end());
-    if (--it->second == 0) pin_counts_.erase(it);
-  }
+  for (PhysAddr frame : pages.frames) put_user_page(frame);
+}
+
+void AddressSpace::put_user_page(PhysAddr frame) {
+  const std::uint32_t key = frame_number(frame);
+  std::uint32_t* count = gup_pins_.find(key);
+  assert(count != nullptr && "unbalanced put_user_page");
+  if (--*count == 0) gup_pins_.erase(key);
 }
 
 Result<std::vector<PhysExtent>> AddressSpace::physical_extents(VirtAddr va, std::uint64_t len,
@@ -253,12 +267,29 @@ const Vma* AddressSpace::find_vma(VirtAddr va) const {
   return va < it->second.end ? &it->second : nullptr;
 }
 
+std::vector<PhysExtent> AddressSpace::held_extents() const {
+  std::vector<PhysExtent> held;
+  if (policy_ != BackingPolicy::lwk_contig) return held;
+  for (const auto& [start, list] : backings_)
+    for (const auto& b : list) held.push_back(PhysExtent{b.pa, b.len});
+  std::sort(held.begin(), held.end(),
+            [](const PhysExtent& a, const PhysExtent& b) { return a.pa < b.pa; });
+  return held;
+}
+
 std::uint64_t AddressSpace::pinned_frame_count() const {
-  return static_cast<std::uint64_t>(pin_counts_.size());
+  // Union of the mapping-held frames and the get_user_pages-pinned ones.
+  const std::vector<PhysExtent> held = held_extents();
+  std::uint64_t n = 0;
+  for (const PhysExtent& e : held) n += e.len / kPage4K;
+  gup_pins_.for_each([&](std::uint32_t key, std::uint32_t) {
+    if (!covers(held, PhysAddr{key} * kPage4K)) ++n;
+  });
+  return n;
 }
 
 bool AddressSpace::is_pinned(PhysAddr frame) const {
-  return pin_counts_.count(page_floor(frame, kPage4K)) > 0;
+  return gup_pins_.find(frame_number(frame)) != nullptr || covers(held_extents(), frame);
 }
 
 double AddressSpace::large_page_fraction() const {

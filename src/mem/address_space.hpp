@@ -17,9 +17,9 @@
 
 #include <cstdint>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
+#include "src/common/flat_map.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/status.hpp"
 #include "src/mem/page_table.hpp"
@@ -93,6 +93,8 @@ class AddressSpace {
   /// [va, va+len). Fails with EFAULT if any page is unmapped.
   Result<PinnedPages> get_user_pages(VirtAddr va, std::uint64_t len);
   void put_user_pages(const PinnedPages& pages);
+  /// Drop one get_user_pages() pin on the 4 KiB frame at `frame`.
+  void put_user_page(PhysAddr frame);
 
   /// LWK-style page-table walk: physically contiguous runs covering
   /// [va, va+len), each at most `max_extent` bytes (0 = unlimited).
@@ -145,6 +147,9 @@ class AddressSpace {
 
   Result<VirtAddr> reserve_va(std::uint64_t len, std::uint64_t align);
   void release_backing(const Vma& vma);
+  /// Physical runs pinned by being mapped (every LWK anonymous backing),
+  /// sorted by address.
+  std::vector<PhysExtent> held_extents() const;
 
   PhysMap& phys_;
   BackingPolicy policy_;
@@ -161,7 +166,9 @@ class AddressSpace {
 
   std::map<VirtAddr, Vma> vmas_;                         // keyed by start
   std::map<VirtAddr, std::vector<Backing>> backings_;    // keyed by VMA start
-  std::unordered_map<PhysAddr, std::uint32_t> pin_counts_;  // per 4 KiB frame
+  // get_user_pages() pins per 4 KiB frame number; LWK backings are pinned
+  // by being mapped and are not counted here (see held_extents()).
+  FlatMap32<std::uint32_t> gup_pins_;
 };
 
 }  // namespace pd::mem

@@ -198,6 +198,7 @@ Status KernelHeap::kfree(PhysAddr addr, int cpu) {
   it->second.state = BlockState::queued;
   remote_free_queues_[it->second.owner_cpu].push_back(
       RemoteFree{addr, topo_.socket_of(cpu)});
+  ++remote_queued_;
   ++stats_.remote_frees;
   return Status::success();
 }
@@ -236,6 +237,7 @@ std::size_t KernelHeap::drain_remote_frees(int cpu) {
     for (const RemoteFree& rf : pending)
       if (reclaim(rf) && rf.source_socket != owner_socket) ++stats_.cross_socket_drains;
   }
+  remote_queued_ -= pending.size();
   pending.clear();
   return drained;
 }

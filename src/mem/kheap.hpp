@@ -155,6 +155,8 @@ class KernelHeap {
 
   bool owns_cpu(int cpu) const;
   std::size_t remote_queue_depth(int cpu) const;
+  /// Entries queued for a drain across all owned CPUs.
+  std::size_t remote_queued() const { return remote_queued_; }
   const Stats& stats() const { return stats_; }
   std::size_t live_blocks() const { return live_blocks_; }
   /// Blocks parked on `cpu`'s magazines across all size classes.
@@ -214,6 +216,7 @@ class KernelHeap {
   // Per owned CPU: one free-list magazine per size class.
   std::unordered_map<int, std::array<std::vector<PhysAddr>, kSizeClasses.size()>> magazines_;
   std::map<int, std::deque<RemoteFree>> remote_free_queues_;  // keyed by owner cpu
+  std::size_t remote_queued_ = 0;  // sum of the queues' sizes
   Stats stats_;
 };
 

@@ -62,6 +62,7 @@ const FastPathOps* McKernel::fastpath(const CharDevice& dev) const {
 }
 
 std::size_t McKernel::drain_remote_frees() {
+  if (kheap_->remote_queued() == 0) return 0;  // the fast path's common case
   const std::uint64_t cross_before = kheap_->stats().cross_socket_drains;
   std::size_t total = 0;
   for (int cpu : cpus_) total += kheap_->drain_remote_frees(cpu);

@@ -264,15 +264,15 @@ sim::Task<Result<long>> HfiPicoDriver::fast_ioctl(os::OpenFile& f, unsigned long
         if (!tid.ok()) {
           for (const std::uint32_t t : args->tids) {
             (void)driver_.device().rcv_array().unprogram(f.ctxt, t);
-            (void)driver_.release_tid_pin(f, t);
+            (void)driver_.release_tid(f, t);
           }
           args->tids.clear();
           co_return tid.error();
         }
         args->tids.push_back(*tid);
-        // LWK memory is already pinned; record an empty pin set so the
-        // shared TID bookkeeping (and TID_FREE) stays symmetric.
-        (void)driver_.account_tid_pin(f, *tid, mem::PinnedPages{});
+        // LWK memory is already pinned: record the TID without a pin so the
+        // shared bookkeeping (LRU order, TID_FREE) still covers it.
+        (void)driver_.account_tid(f, *tid);
       }
       fd_tid_used_.write(fd_bytes.data(),
                          fd_tid_used_.read(fd_bytes.data()) + extents.size());
@@ -291,8 +291,7 @@ sim::Task<Result<long>> HfiPicoDriver::fast_ioctl(os::OpenFile& f, unsigned long
       for (const std::uint32_t tid : args->tids) {
         if (!driver_.device().rcv_array().unprogram(f.ctxt, tid).ok())
           co_return Errno::einval;
-        auto pins = driver_.release_tid_pin(f, tid);
-        if (pins.ok() && !pins->frames.empty()) as.put_user_pages(*pins);
+        (void)driver_.release_tid(f, tid);
         ++released;
       }
       fd_tid_used_.write(fd_bytes.data(), fd_tid_used_.read(fd_bytes.data()) - released);

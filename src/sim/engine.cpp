@@ -201,7 +201,7 @@ void Engine::grow_pool(Shard& sh) {
   ++sh.stats.pool_chunks;
 }
 
-void Engine::bucket_insert(Bucket& b, EventNode* n) {
+void Engine::bucket_insert(Shard& sh, Bucket& b, EventNode* n) {
   n->next = nullptr;
   if (b.head == nullptr) {
     b.head = b.tail = n;
@@ -219,7 +219,9 @@ void Engine::bucket_insert(Bucket& b, EventNode* n) {
     return;
   }
   EventNode* p = b.head;
-  while (p->next != nullptr && !later(*p->next, *n)) p = p->next;
+  std::uint64_t steps = 0;
+  for (; p->next != nullptr && !later(*p->next, *n); ++steps) p = p->next;
+  sh.stats.insert_scan_steps += steps;
   n->next = p->next;
   p->next = n;  // tail unchanged: n landed strictly before the old tail
 }
@@ -250,7 +252,7 @@ void Engine::insert(Shard& sh, EventNode* n) {
     return;
   }
   const auto idx = static_cast<std::size_t>((n->t - sh.base) / sh.width);
-  bucket_insert(sh.buckets[idx], n);
+  bucket_insert(sh, sh.buckets[idx], n);
   if (idx < sh.cur) sh.cur = idx;
   ++sh.cal_size;
   if (sh.cal_size > 2 * sh.buckets.size() && sh.buckets.size() < kMaxBuckets)
@@ -291,7 +293,7 @@ void Engine::rebase(Shard& sh) {
     EventNode* n = sh.overflow.back();
     sh.overflow.pop_back();
     const auto idx = static_cast<std::size_t>((n->t - sh.base) / sh.width);
-    bucket_insert(sh.buckets[idx], n);
+    bucket_insert(sh, sh.buckets[idx], n);
     ++sh.cal_size;
   }
 }
@@ -312,11 +314,13 @@ void Engine::rebuild(Shard& sh, std::size_t nbuckets) {
   sh.overflow.clear();
 
   // Re-derive the bucket width from the observed event spacing: twice the
-  // mean gap between adjacent distinct times in a small sorted sample, so
-  // a bucket holds a handful of events on average.
+  // mean gap between adjacent events, so a bucket holds a handful of events
+  // on average. The sample takes every `stride`-th event, so a gap between
+  // neighbouring samples spans `stride` events and is scaled down by it.
   if (all.size() >= 2) {
     std::array<Time, 64> sample;
     const std::size_t take = std::min(all.size(), sample.size());
+    const auto stride = static_cast<Dur>(all.size() / take);
     for (std::size_t i = 0; i < take; ++i) sample[i] = all[i * all.size() / take]->t;
     std::sort(sample.begin(), sample.begin() + static_cast<std::ptrdiff_t>(take));
     Dur gap_sum = 0;
@@ -326,7 +330,7 @@ void Engine::rebuild(Shard& sh, std::size_t nbuckets) {
         gap_sum += sample[i] - sample[i - 1];
         ++gaps;
       }
-    if (gaps > 0) sh.width = std::max<Dur>(1, 2 * gap_sum / gaps);
+    if (gaps > 0) sh.width = std::max<Dur>(1, 2 * gap_sum / (gaps * stride));
   }
 
   sh.buckets.assign(nbuckets, Bucket{});
@@ -341,7 +345,7 @@ void Engine::rebuild(Shard& sh, std::size_t nbuckets) {
       sh.overflow.push_back(n);
       std::push_heap(sh.overflow.begin(), sh.overflow.end(), heap_later);
     } else {
-      bucket_insert(sh.buckets[static_cast<std::size_t>((n->t - sh.base) / sh.width)], n);
+      bucket_insert(sh, sh.buckets[static_cast<std::size_t>((n->t - sh.base) / sh.width)], n);
       ++sh.cal_size;
     }
   }
@@ -527,6 +531,7 @@ Engine::Stats Engine::stats() const {
     total.boxed_callbacks += shp->stats.boxed_callbacks;
     total.calendar_rebuilds += shp->stats.calendar_rebuilds;
     total.overflow_parked += shp->stats.overflow_parked;
+    total.insert_scan_steps += shp->stats.insert_scan_steps;
     total.cross_shard_events += shp->stats.cross_shard_events;
     total.rounds = std::max(total.rounds, shp->stats.rounds);
   }

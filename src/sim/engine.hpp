@@ -79,6 +79,7 @@ class Engine {
     std::uint64_t boxed_callbacks = 0;    ///< callbacks too big for the SBO
     std::uint64_t calendar_rebuilds = 0;  ///< bucket-array resizes
     std::uint64_t overflow_parked = 0;    ///< events parked past the horizon
+    std::uint64_t insert_scan_steps = 0;  ///< nodes walked by out-of-order bucket inserts
     std::uint64_t cross_shard_events = 0;
     std::uint64_t rounds = 0;  ///< conservative rounds (sharded mode)
   };
@@ -346,7 +347,7 @@ class Engine {
 
   // Calendar-queue mechanics (engine.cpp).
   void grow_pool(Shard& sh);
-  static void bucket_insert(Bucket& b, EventNode* n);
+  static void bucket_insert(Shard& sh, Bucket& b, EventNode* n);
   static EventNode* bucket_pop(Bucket& b);
   void insert(Shard& sh, EventNode* n);
   Time next_time(Shard& sh);           // kNever when the shard is empty

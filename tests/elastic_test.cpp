@@ -81,6 +81,7 @@ TEST(ElasticKheap, AdoptAddsCoreReleaseRehomesItsBlocks) {
   std::size_t drained = 0;
   ASSERT_TRUE(heap.release_cpu(2, &drained).ok());
   EXPECT_EQ(drained, 1u);
+  EXPECT_EQ(heap.remote_queued(), 0u);
   EXPECT_FALSE(heap.owns_cpu(2));
   EXPECT_EQ(heap.stats().cpu_releases, 1u);
   EXPECT_GE(heap.stats().rehomed_blocks, 1u);

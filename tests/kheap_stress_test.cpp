@@ -121,8 +121,10 @@ class KheapCrossKernelStress : public testing::Test {
     for (const LiveBlock& b : queued)
       if (b.owner_cpu == cpu) ++expected;
     EXPECT_EQ(heap.remote_queue_depth(cpu), expected);
+    EXPECT_EQ(heap.remote_queued(), queued.size());
     EXPECT_EQ(heap.drain_remote_frees(cpu), expected);
     EXPECT_EQ(heap.remote_queue_depth(cpu), 0u);
+    EXPECT_EQ(heap.remote_queued(), queued.size() - expected);
     for (std::size_t i = 0; i < queued.size();) {
       if (queued[i].owner_cpu == cpu) {
         queued_bytes -= queued[i].size;

@@ -1,12 +1,18 @@
 // Property tests over the memory subsystem composites: random
 // mmap/munmap/gup sequences must conserve physical memory, keep pin
 // counts balanced, and keep translations consistent, under both backing
-// policies; the kernel heap must match a reference model.
+// policies; per-frame pin counts and the kernel heap must match reference
+// models.
+//
+// The PinOracle cases use a fixed default seed, overridable with
+// PD_PROPERTY_SEED; a failure prints the seed that reproduces it.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <map>
 #include <vector>
 
+#include "src/common/flat_map.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/units.hpp"
 #include "src/mem/address_space.hpp"
@@ -135,6 +141,156 @@ TEST_P(KheapProperty, MatchesReferenceUnderRandomTraffic) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KheapProperty, testing::Values(3, 7, 31));
+
+std::uint64_t harness_seed() {
+  if (const char* env = std::getenv("PD_PROPERTY_SEED"); env != nullptr && *env != '\0')
+    return std::strtoull(env, nullptr, 0);
+  return 0x914CAFEull;
+}
+
+TEST(FlatMapOracle, MatchesReferenceThroughGrowthAndDeletes) {
+  // Keys from a small range keep the table dense: long probe chains that
+  // wrap around the end of the slot array, then deletes in the middle of
+  // them, then lookups that must still walk the shifted chains.
+  const std::uint64_t seed = harness_seed();
+  SCOPED_TRACE(testing::Message() << "PD_PROPERTY_SEED=" << seed);
+  Rng rng(seed);
+  FlatMap32<std::uint32_t> map;
+  std::map<std::uint32_t, std::uint32_t> ref;
+  std::size_t peak = 0;
+  for (int step = 0; step < 6'000; ++step) {
+    // Grow for the first half, then drain, so the table doubles several
+    // times and every chain is later torn down by backward shifts.
+    const bool grow_phase = step < 3'000;
+    const std::uint32_t key = static_cast<std::uint32_t>(rng.next_below(2048));
+    if (rng.next_below(4) < (grow_phase ? 3u : 1u)) {
+      ++map[key];
+      ++ref[key];
+    } else {
+      std::uint32_t* v = map.find(key);
+      auto it = ref.find(key);
+      ASSERT_EQ(v != nullptr, it != ref.end()) << "key " << key;
+      if (v != nullptr && --*v == 0) {
+        ASSERT_TRUE(map.erase(key));
+      }
+      if (it != ref.end() && --it->second == 0) ref.erase(it);
+    }
+    peak = std::max(peak, ref.size());
+    ASSERT_EQ(map.size(), ref.size());
+    // Every live key must still be reachable after the deletes.
+    for (const auto& [k, count] : ref) {
+      const std::uint32_t* v = map.find(k);
+      ASSERT_NE(v, nullptr) << "key " << k << " lost at step " << step;
+      ASSERT_EQ(*v, count) << "key " << k;
+    }
+  }
+  EXPECT_GT(peak, 1024u) << "the table must have grown past several doublings";
+  EXPECT_FALSE(map.erase(0xFFFF)) << "absent key";
+}
+
+class PinOracle : public testing::TestWithParam<BackingPolicy> {};
+
+TEST_P(PinOracle, PinCountsMatchReference) {
+  // Random mmap/munmap/gup/put against a per-frame reference count: an LWK
+  // mapping holds each of its frames once for as long as it is mapped, and
+  // every get_user_pages adds one more until put. Regions may be unmapped
+  // with pins outstanding, so freed frames keep their gup pins and can be
+  // handed out again under a new mapping.
+  const BackingPolicy policy = GetParam();
+  const std::uint64_t seed = harness_seed() ^ static_cast<std::uint64_t>(policy);
+  SCOPED_TRACE(testing::Message() << "PD_PROPERTY_SEED=" << harness_seed());
+  Rng rng(seed);
+  PhysMap phys = PhysMap::knl(64_MiB, 64_MiB, 1);
+  std::map<PhysAddr, std::uint32_t> ref;  // frame -> pins (mapping hold + gups)
+  auto add = [&](PhysAddr frame) { ++ref[frame]; };
+  auto drop = [&](PhysAddr frame) {
+    auto it = ref.find(frame);
+    ASSERT_NE(it, ref.end());
+    if (--it->second == 0) ref.erase(it);
+  };
+  struct Region {
+    VirtAddr va;
+    std::uint64_t len;
+    std::vector<PhysAddr> frames;
+  };
+  std::vector<Region> live;
+  std::vector<PinnedPages> pinned;
+  std::vector<PhysAddr> released;  // frames whose last op dropped a pin
+  std::size_t peak_gup_frames = 0;
+  {
+    AddressSpace as(phys, policy, MemKind::mcdram, 0x30'0000'0000ull, seed);
+    const bool held = policy == BackingPolicy::lwk_contig;
+    for (int step = 0; step < 2000; ++step) {
+      released.clear();
+      const int op = static_cast<int>(rng.next_below(10));
+      if (op < 2 || live.empty()) {  // mmap
+        const std::uint64_t len = (1 + rng.next_below(256)) * kPage4K;
+        auto va = as.mmap_anonymous(len, kProtRead | kProtWrite);
+        if (!va.ok()) continue;
+        Region r{*va, len, {}};
+        for (std::uint64_t off = 0; off < len; off += kPage4K)
+          r.frames.push_back(page_floor(as.translate(*va + off)->pa, kPage4K));
+        if (held)
+          for (PhysAddr f : r.frames) add(f);
+        live.push_back(std::move(r));
+      } else if (op < 4) {  // munmap, pins or not
+        const std::size_t pick = rng.next_below(live.size());
+        ASSERT_TRUE(as.munmap(live[pick].va, live[pick].len).ok());
+        if (held)
+          for (PhysAddr f : live[pick].frames) {
+            drop(f);
+            released.push_back(f);
+          }
+        live[pick] = std::move(live.back());
+        live.pop_back();
+      } else if (op < 7) {  // gup a sub-range
+        const Region& r = live[rng.next_below(live.size())];
+        const std::uint64_t off = rng.next_below(r.len / kPage4K) * kPage4K;
+        const std::uint64_t len = std::min<std::uint64_t>(r.len - off, 64 * kPage4K);
+        auto pages = as.get_user_pages(r.va + off, len);
+        ASSERT_TRUE(pages.ok());
+        for (PhysAddr f : pages->frames) add(f);
+        pinned.push_back(std::move(*pages));
+      } else if (!pinned.empty()) {  // put a pin set
+        const std::size_t pick = rng.next_below(pinned.size());
+        as.put_user_pages(pinned[pick]);
+        for (PhysAddr f : pinned[pick].frames) {
+          drop(f);
+          released.push_back(f);
+        }
+        pinned[pick] = std::move(pinned.back());
+        pinned.pop_back();
+      }
+
+      std::size_t gup_frames = 0;
+      for (const PinnedPages& p : pinned) gup_frames += p.frames.size();
+      peak_gup_frames = std::max(peak_gup_frames, gup_frames);
+
+      ASSERT_EQ(as.pinned_frame_count(), ref.size()) << "step " << step;
+      for (const PinnedPages& p : pinned)
+        for (PhysAddr f : p.frames) ASSERT_TRUE(as.is_pinned(f)) << "step " << step;
+      for (PhysAddr f : released)
+        ASSERT_EQ(as.is_pinned(f), ref.count(f) > 0) << "step " << step;
+      if (!live.empty()) {
+        const Region& r = live[rng.next_below(live.size())];
+        const PhysAddr f = r.frames[rng.next_below(r.frames.size())];
+        ASSERT_EQ(as.is_pinned(f + rng.next_below(kPage4K)), ref.count(f) > 0) << "step " << step;
+      }
+    }
+    for (const PinnedPages& p : pinned) as.put_user_pages(p);
+    if (!held) {
+      EXPECT_EQ(as.pinned_frame_count(), 0u);
+    }
+  }
+  EXPECT_GT(peak_gup_frames, 256u) << "the pin table must have grown several times";
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, PinOracle,
+                         testing::Values(BackingPolicy::linux_4k, BackingPolicy::lwk_contig),
+                         [](const testing::TestParamInfo<BackingPolicy>& info) {
+                           return info.param == BackingPolicy::linux_4k ? "linux_4k"
+                                                                        : "lwk_contig";
+                         });
 
 }  // namespace
 }  // namespace pd::mem

@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "src/common/rng.hpp"
 #include "src/common/time.hpp"
 #include "src/sim/engine.hpp"
 
@@ -167,6 +168,30 @@ TEST(Engine, BackwardScheduleAfterRebaseIsAccepted) {
   e.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
   EXPECT_EQ(e.now(), from_ms(9'000));
+}
+
+TEST(Engine, BucketsHoldAHandfulOfEventsUnderClusteredBursts) {
+  // Many timers spread over ~1 ms, each firing a burst of short
+  // out-of-order delays: every burst event lands inside a populated bucket
+  // and walks it. With the width set from the gap between adjacent events
+  // the walk stays a few nodes long. Taking the gap between strided samples
+  // without dividing by the stride makes each bucket ~N/32 events wide and
+  // the mean walk ~140 nodes.
+  Engine e;
+  Rng rng(0x5EED);
+  constexpr int kTimers = 32'768;
+  constexpr int kBurst = 4;
+  std::uint64_t fired = 0;
+  for (int i = 0; i < kTimers; ++i)
+    e.schedule_at(static_cast<Time>(rng.next_below(from_ms(1))), [&] {
+      for (int j = 0; j < kBurst; ++j)
+        e.schedule_after(static_cast<Dur>(rng.next_below(2_us)), [&] { ++fired; });
+    });
+  e.run();
+  ASSERT_EQ(fired, std::uint64_t{kTimers} * kBurst);
+  const auto inserts = static_cast<double>(e.events_processed());
+  const double mean_scan = static_cast<double>(e.stats().insert_scan_steps) / inserts;
+  EXPECT_LT(mean_scan, 4.0) << "insert_scan_steps=" << e.stats().insert_scan_steps;
 }
 
 TEST(Engine, ShardedBasics) {
