@@ -20,6 +20,10 @@
 //                 simulated runtime only has to land in a sanity band of
 //                 the sharded result; both are individually deterministic.
 //
+// After the sweep the process peak RSS is recorded as `peak_rss_mb`: every
+// simulated process owns a page table and every HFI an RcvArray, so host
+// bloat in either shows up here.
+//
 // Emits BENCH_sim_scale.json for tools/check_bench.py --suite sim_scale.
 #include <atomic>
 #include <chrono>
@@ -29,6 +33,8 @@
 #include <new>
 #include <string>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "bench/bench_common.hpp"
 #include "src/apps/proxies.hpp"
@@ -309,6 +315,11 @@ int main() {
   std::printf("%s\n", table.to_string().c_str());
   const SweepRow& top = sweep.back();
 
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  const double peak_rss_mb = static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB on Linux
+  std::printf("  peak RSS after the sweep: %.1f MiB\n", peak_rss_mb);
+
   std::FILE* json = std::fopen("BENCH_sim_scale.json", "w");
   if (json == nullptr) return 1;
   auto point_json = [json](const char* key, const PointRun& p, const char* trail) {
@@ -325,6 +336,7 @@ int main() {
                "{\n"
                "  \"workload\": {\"quick_mode\": %s, \"max_nodes\": %d, "
                "\"ranks_per_node\": %d, \"umt_steps\": 1, \"workers\": %d},\n"
+               "  \"peak_rss_mb\": %.1f,\n"
                "  \"engine_loop\": {\"events\": %llu, \"wall_sec\": %.3f, "
                "\"events_per_sec\": %.0f, \"steady_allocs_per_event\": %.4f, "
                "\"pool_chunks\": %llu, \"calendar_rebuilds\": %llu, "
@@ -332,7 +344,7 @@ int main() {
                "  \"pingpong\": {\"bytes\": %llu, \"iters\": %d, \"mb_per_sec\": %.1f, "
                "\"events\": %llu, \"events_per_sec\": %.0f},\n"
                "  \"sweep\": {\n",
-               quick_mode() ? "true" : "false", top.nodes, rpn, workers,
+               quick_mode() ? "true" : "false", top.nodes, rpn, workers, peak_rss_mb,
                static_cast<unsigned long long>(loop.events), loop.wall_sec,
                loop.events_per_sec, loop.steady_allocs_per_event,
                static_cast<unsigned long long>(loop.pool_chunks),

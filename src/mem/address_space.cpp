@@ -190,15 +190,20 @@ Result<PinnedPages> AddressSpace::get_user_pages(VirtAddr va, std::uint64_t len)
   const VirtAddr end = page_ceil(va + len, kPage4K);
   PinnedPages pages;
   pages.frames.reserve((end - start) / kPage4K);
-  for (VirtAddr cur = start; cur < end; cur += kPage4K) {
-    auto t = pt_.translate(cur);
-    if (!t) {
-      put_user_pages(pages);  // unpin what we already took
-      return Errno::efault;
+  VirtAddr cur = start;
+  pt_.for_each_leaf(start, end - start, [&](const PageTable::Leaf& leaf) {
+    if (leaf.va > cur) return false;  // hole before this leaf
+    const VirtAddr stop = std::min(end, leaf.va + leaf.page);
+    for (; cur < stop; cur += kPage4K) {
+      const PhysAddr frame = leaf.pa + (cur - leaf.va);
+      ++gup_pins_[frame_number(frame)];
+      pages.frames.push_back(frame);
     }
-    const PhysAddr frame = page_floor(t->pa, kPage4K);
-    ++gup_pins_[frame_number(frame)];
-    pages.frames.push_back(frame);
+    return true;
+  });
+  if (cur < end) {
+    put_user_pages(pages);  // unpin what we already took
+    return Errno::efault;
   }
   return pages;
 }
@@ -228,21 +233,20 @@ Status AddressSpace::physical_extents(VirtAddr va, std::uint64_t len, std::uint6
   if (len == 0) return Errno::einval;
   VirtAddr cur = va;
   const VirtAddr end = va + len;
-  while (cur < end) {
-    auto t = pt_.translate(cur);
-    if (!t) return Errno::efault;
+  pt_.for_each_leaf(va, len, [&](const PageTable::Leaf& leaf) {
+    if (leaf.va > cur) return false;  // hole before this leaf
+    const PhysAddr pa = leaf.pa + (cur - leaf.va);
     // Bytes until the end of this leaf page.
-    const std::uint64_t in_page = t->page - (cur & (t->page - 1));
-    std::uint64_t run = std::min<std::uint64_t>(in_page, end - cur);
+    const std::uint64_t run = std::min(leaf.va + leaf.page, end) - cur;
     // Merge with the previous extent when physically adjacent.
-    if (!extents.empty() && extents.back().pa + extents.back().len == t->pa &&
+    if (!extents.empty() && extents.back().pa + extents.back().len == pa &&
         (max_extent == 0 || extents.back().len < max_extent)) {
       const std::uint64_t room =
           max_extent == 0 ? run : std::min(run, max_extent - extents.back().len);
       extents.back().len += room;
-      if (room < run) extents.push_back(PhysExtent{t->pa + room, run - room});
+      if (room < run) extents.push_back(PhysExtent{pa + room, run - room});
     } else {
-      extents.push_back(PhysExtent{t->pa, run});
+      extents.push_back(PhysExtent{pa, run});
     }
     // Split oversized extents down to max_extent.
     if (max_extent != 0 && extents.back().len > max_extent) {
@@ -256,8 +260,9 @@ Status AddressSpace::physical_extents(VirtAddr va, std::uint64_t len, std::uint6
       }
     }
     cur += run;
-  }
-  return Status::success();
+    return true;
+  });
+  return cur < end ? Status{Errno::efault} : Status::success();
 }
 
 const Vma* AddressSpace::find_vma(VirtAddr va) const {

@@ -88,6 +88,7 @@ class AddressSpace {
   Status munmap(VirtAddr addr, std::uint64_t len);
 
   std::optional<Translation> translate(VirtAddr va) const { return pt_.translate(va); }
+  const PageTable& page_table() const { return pt_; }
 
   /// Linux-style get_user_pages(): pin and return the 4 KiB frames backing
   /// [va, va+len). Fails with EFAULT if any page is unmapped.

@@ -210,6 +210,30 @@ TEST(RcvArrayTest, ExhaustionAndOwnership) {
   EXPECT_TRUE(arr.program(0, 0x3000, 4096).ok());
 }
 
+TEST(RcvArrayTest, RejectsLengthBeyondTheEntryField) {
+  RcvArray arr(2);
+  EXPECT_EQ(arr.program(0, 0x1000, std::uint64_t{1} << 32).error(), Errno::einval);
+  EXPECT_EQ(arr.in_use(), 0u);
+  auto tid = arr.program(0, 0x1000, 0xFFFF'FFFFu);
+  ASSERT_TRUE(tid.ok());
+  EXPECT_EQ(arr.entry(*tid)->len, 0xFFFF'FFFFu);
+}
+
+TEST(RcvArrayTest, ContextBounds) {
+  RcvArray arr(4);
+  EXPECT_EQ(arr.program(-1, 0x1000, 4096).error(), Errno::einval);
+  EXPECT_EQ(arr.program(1 << 15, 0x1000, 4096).error(), Errno::einval);
+  auto tid = arr.program(40, 0x1000, 4096);
+  ASSERT_TRUE(tid.ok());
+  EXPECT_EQ(arr.entry(*tid)->owner_ctxt, 40);
+  // Contexts that never programmed anything free nothing, in range or not.
+  EXPECT_EQ(arr.unprogram_all(-1), 0u);
+  EXPECT_EQ(arr.unprogram_all(3), 0u);
+  EXPECT_EQ(arr.unprogram_all(1000), 0u);
+  EXPECT_EQ(arr.unprogram_all(40), 1u);
+  EXPECT_EQ(arr.in_use(), 0u);
+}
+
 TEST(RcvArrayTest, RejectsZeroLength) {
   RcvArray arr(2);
   EXPECT_EQ(arr.program(0, 0x1000, 0).error(), Errno::einval);

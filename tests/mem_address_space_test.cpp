@@ -101,6 +101,58 @@ TEST(AddressSpaceLwk, PhysicallyContiguousBacking) {
   EXPECT_LE(extents->size(), 2u);
 }
 
+TEST(AddressSpaceLwk, ScratchChurnFreesItsPageTables) {
+  // QBOX's scratch buffer: not a 2 MiB multiple, so every cycle maps both
+  // 2 MiB and 4 KiB leaves. VAs are never reused (the mmap cursor only
+  // grows), so a table left behind by munmap would be a table per cycle.
+  PhysMap phys = small_map();
+  AddressSpace as(phys, BackingPolicy::lwk_contig, MemKind::mcdram, kMmapBase);
+  ASSERT_TRUE(as.mmap_anonymous(64_KiB, kProtRead | kProtWrite).ok());
+  const std::uint64_t tables = as.page_table().table_count();
+  constexpr std::uint64_t kScratch = 8'323'072;
+  for (int cycle = 0; cycle < 1000; ++cycle) {
+    auto va = as.mmap_anonymous(kScratch, kProtRead | kProtWrite);
+    ASSERT_TRUE(va.ok()) << "cycle " << cycle;
+    ASSERT_TRUE(as.munmap(*va, kScratch).ok()) << "cycle " << cycle;
+    ASSERT_EQ(as.page_table().table_count(), tables) << "cycle " << cycle;
+  }
+}
+
+TEST(AddressSpaceLwk, GetUserPagesThroughLargeLeavesMatchesTranslate) {
+  PhysMap phys = small_map();
+  AddressSpace as(phys, BackingPolicy::lwk_contig, MemKind::mcdram, kMmapBase);
+  auto va = as.mmap_anonymous(8_MiB + 64_KiB, kProtRead | kProtWrite);
+  ASSERT_TRUE(va.ok());
+  // Start inside a 2 MiB leaf, end in the 4 KiB tail.
+  const VirtAddr start = *va + kPage2M - 12_KiB;
+  const std::uint64_t len = 8_MiB - kPage2M + 40_KiB;
+  auto pages = as.get_user_pages(start, len);
+  ASSERT_TRUE(pages.ok());
+  ASSERT_EQ(pages->frames.size(), len / kPage4K);
+  for (std::size_t i = 0; i < pages->frames.size(); ++i)
+    ASSERT_EQ(pages->frames[i], as.translate(start + i * kPage4K)->pa) << "page " << i;
+  as.put_user_pages(*pages);
+}
+
+TEST(AddressSpaceLwk, GetUserPagesAndExtentsFaultOnAHole) {
+  PhysMap phys = small_map();
+  AddressSpace as(phys, BackingPolicy::lwk_contig, MemKind::mcdram, kMmapBase);
+  auto a = as.mmap_anonymous(16_KiB, kProtRead);
+  auto b = as.mmap_anonymous(16_KiB, kProtRead);
+  auto c = as.mmap_anonymous(16_KiB, kProtRead);
+  ASSERT_TRUE(a.ok() && b.ok() && c.ok());
+  ASSERT_EQ(*b, *a + 16_KiB);
+  ASSERT_EQ(*c, *b + 16_KiB);
+  ASSERT_TRUE(as.munmap(*b, 16_KiB).ok());
+  const std::uint64_t held = as.pinned_frame_count();
+  EXPECT_EQ(as.get_user_pages(*a, 48_KiB).error(), Errno::efault);
+  EXPECT_EQ(as.get_user_pages(*b + 4_KiB, 16_KiB).error(), Errno::efault);
+  EXPECT_EQ(as.pinned_frame_count(), held) << "partial pins must be released";
+  EXPECT_EQ(as.physical_extents(*a, 48_KiB, 0).error(), Errno::efault);
+  EXPECT_EQ(as.physical_extents(*b, 4_KiB, 0).error(), Errno::efault);
+  EXPECT_TRUE(as.physical_extents(*a + 100, 16_KiB - 100, 0).ok());
+}
+
 TEST(PhysicalExtents, RespectsMaxExtent) {
   PhysMap phys = small_map();
   AddressSpace as(phys, BackingPolicy::lwk_contig, MemKind::mcdram, kMmapBase);

@@ -4,12 +4,14 @@
 // policies; per-frame pin counts and the kernel heap must match reference
 // models.
 //
-// The PinOracle cases use a fixed default seed, overridable with
-// PD_PROPERTY_SEED; a failure prints the seed that reproduces it.
+// The FlatMapOracle, PinOracle and PageTableOracle cases use a fixed default
+// seed, overridable with PD_PROPERTY_SEED; a failure prints the seed that
+// reproduces it.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <map>
+#include <set>
 #include <vector>
 
 #include "src/common/flat_map.hpp"
@@ -17,6 +19,7 @@
 #include "src/common/units.hpp"
 #include "src/mem/address_space.hpp"
 #include "src/mem/kheap.hpp"
+#include "src/mem/page_table.hpp"
 
 namespace pd::mem {
 namespace {
@@ -186,6 +189,143 @@ TEST(FlatMapOracle, MatchesReferenceThroughGrowthAndDeletes) {
   }
   EXPECT_GT(peak, 1024u) << "the table must have grown past several doublings";
   EXPECT_FALSE(map.erase(0xFFFF)) << "absent key";
+}
+
+TEST(PageTableOracle, MapUnmapMatchesReference) {
+  // Random 4K/2M/1G map, unmap and unmap_range against a map of leaves.
+  // Addresses are drawn from a few small windows (one straddling a
+  // top-level boundary, one in the high canonical half) so pages collide,
+  // share tables and empty them again. A map succeeds iff no existing leaf
+  // overlaps it; a table exists iff some leaf lies under it.
+  const std::uint64_t seed = harness_seed();
+  SCOPED_TRACE(testing::Message() << "PD_PROPERTY_SEED=" << seed);
+  Rng rng(seed);
+  struct Ref {
+    PhysAddr pa;
+    std::uint64_t page;
+    std::uint32_t prot;
+  };
+  std::map<VirtAddr, Ref> ref;  // leaf start -> mapping
+  auto containing = [&](VirtAddr va) -> const std::pair<const VirtAddr, Ref>* {
+    auto it = ref.upper_bound(va);
+    if (it == ref.begin()) return nullptr;
+    --it;
+    return va < it->first + it->second.page ? &*it : nullptr;
+  };
+  auto overlaps = [&](VirtAddr lo, VirtAddr hi) {
+    auto it = ref.lower_bound(lo);
+    if (it != ref.end() && it->first < hi) return true;
+    return containing(lo) != nullptr;
+  };
+  auto erase_range = [&](VirtAddr lo, VirtAddr hi) {
+    std::size_t n = 0;
+    for (auto it = ref.begin(); it != ref.end();) {
+      if (it->first < hi && lo < it->first + it->second.page) {
+        it = ref.erase(it);
+        ++n;
+      } else {
+        ++it;
+      }
+    }
+    return n;
+  };
+  auto expected_tables = [&] {
+    std::set<VirtAddr> l2, l1, l0;  // tables under the root, by VA prefix
+    for (const auto& [va, r] : ref) {
+      l2.insert(va >> 39);
+      if (r.page <= kPage2M) l1.insert(va >> 30);
+      if (r.page == kPage4K) l0.insert(va >> 21);
+    }
+    return 1 + l2.size() + l1.size() + l0.size();
+  };
+
+  constexpr VirtAddr kWindows[] = {0x40'0000'0000ull, 0x7F'8000'0000ull,
+                                   0xFFFF'8800'0000'0000ull & ((1ull << 48) - 1)};
+  auto draw_va = [&](std::uint64_t page) {
+    const VirtAddr base = kWindows[rng.next_below(3)];
+    const VirtAddr gig = base + rng.next_below(2) * kPage1G;
+    if (page == kPage1G) return gig;
+    const VirtAddr slot = gig + rng.next_below(4) * kPage2M;
+    if (page == kPage2M) return slot;
+    return slot + rng.next_below(rng.next_below(4) == 0 ? 512 : 8) * kPage4K;
+  };
+  constexpr std::uint64_t kPages[] = {kPage4K, kPage4K, kPage4K, kPage2M, kPage2M, kPage1G};
+
+  PageTable pt;
+  std::size_t peak_tables = 0;
+  for (int step = 0; step < 4000; ++step) {
+    const int op = static_cast<int>(rng.next_below(10));
+    if (op < 5) {  // map
+      const std::uint64_t page = kPages[rng.next_below(6)];
+      const VirtAddr va = draw_va(page);
+      const PhysAddr pa = rng.next_below(64) * page;
+      const std::uint32_t prot = static_cast<std::uint32_t>(rng.next_below(8));
+      const bool expect_ok = !overlaps(va, va + page);
+      const Status s = pt.map(va, pa, page, prot);
+      ASSERT_EQ(s.ok(), expect_ok) << "step " << step << " map " << std::hex << va;
+      if (!expect_ok) {
+        ASSERT_EQ(s.error(), Errno::eexist);
+      } else {
+        ref.emplace(va, Ref{pa, page, prot});
+      }
+    } else if (op < 8) {  // unmap one page, usually a mapped one
+      VirtAddr va = draw_va(kPage4K) + rng.next_below(kPage4K);
+      if (!ref.empty() && rng.next_below(4) != 0) {
+        auto it = ref.begin();
+        std::advance(it, static_cast<long>(rng.next_below(ref.size())));
+        va = it->first + rng.next_below(it->second.page);
+      }
+      const bool expect_ok = containing(va) != nullptr;
+      const Status s = pt.unmap(va);
+      ASSERT_EQ(s.ok(), expect_ok) << "step " << step << " unmap " << std::hex << va;
+      if (expect_ok) {
+        ref.erase(containing(va)->first);
+      } else {
+        ASSERT_EQ(s.error(), Errno::enoent);
+      }
+    } else {  // unmap_range over a few pages to a few GiB
+      const VirtAddr va = draw_va(kPage4K) + rng.next_below(kPage4K);
+      const std::uint64_t len = rng.next_below(2) == 0 ? rng.next_below(16 * kPage4K)
+                                                       : rng.next_below(3 * kPage1G);
+      pt.unmap_range(va, len);
+      (void)erase_range(page_floor(va, kPage4K), page_ceil(va + len, kPage4K));
+    }
+
+    ASSERT_EQ(pt.mapped_pages(), ref.size()) << "step " << step;
+    ASSERT_EQ(pt.table_count(), expected_tables()) << "step " << step;
+    peak_tables = std::max<std::size_t>(peak_tables, pt.table_count());
+    for (int probe = 0; probe < 8; ++probe) {
+      VirtAddr va = draw_va(kPage4K) + rng.next_below(kPage4K);
+      if (!ref.empty() && probe % 2 == 0) {
+        auto it = ref.begin();
+        std::advance(it, static_cast<long>(rng.next_below(ref.size())));
+        va = it->first + rng.next_below(it->second.page);
+      }
+      const auto t = pt.translate(va);
+      const auto* want = containing(va);
+      ASSERT_EQ(t.has_value(), want != nullptr) << "step " << step << std::hex << " va " << va;
+      if (want != nullptr) {
+        ASSERT_EQ(t->pa, want->second.pa + (va - want->first)) << "step " << step;
+        ASSERT_EQ(t->page, want->second.page) << "step " << step;
+        ASSERT_EQ(t->prot, want->second.prot) << "step " << step;
+      }
+    }
+    // The range walker sees exactly the reference leaves in a window.
+    const VirtAddr lo = draw_va(kPage4K);
+    const std::uint64_t len = rng.next_below(2 * kPage1G) + 1;
+    std::vector<VirtAddr> walked, want;
+    pt.for_each_leaf(lo, len, [&](const PageTable::Leaf& l) {
+      walked.push_back(l.va);
+      return true;
+    });
+    for (const auto& [va, r] : ref)
+      if (va < lo + len && lo < va + r.page) want.push_back(va);
+    ASSERT_EQ(walked, want) << "step " << step;
+  }
+  EXPECT_GT(peak_tables, 8u) << "the oracle must have built several tables";
+  pt.unmap_range(0, std::uint64_t{1} << 48);
+  EXPECT_EQ(pt.mapped_pages(), 0u);
+  EXPECT_EQ(pt.table_count(), 1u);
 }
 
 class PinOracle : public testing::TestWithParam<BackingPolicy> {};
