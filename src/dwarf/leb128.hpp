@@ -97,7 +97,9 @@ class ByteCursor {
       shift += 7;
       if ((byte & 0x80) == 0) break;
     }
-    if (shift < 64 && (byte & 0x40) != 0) value |= -(static_cast<std::int64_t>(1) << shift);
+    // Sign-extend in unsigned arithmetic: at shift 63, -(1 << 63) overflows.
+    if (shift < 64 && (byte & 0x40) != 0)
+      value |= static_cast<std::int64_t>(~std::uint64_t{0} << shift);
     return value;
   }
 

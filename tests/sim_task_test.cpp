@@ -1,7 +1,10 @@
 // Tests for the coroutine Task type: lazy start, structured co_await,
-// value return, exception propagation, detached spawn lifetime.
+// value return, exception propagation, detached spawn lifetime, and the
+// coroutine-frame pool.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -130,6 +133,35 @@ TEST(Task, VoidTaskAwaitable) {
   }(e, stage));
   e.run();
   EXPECT_EQ(stage, 3);
+}
+
+int g_frame_sink = 0;
+
+/// A frame no other test in this binary matches in size (the scratch array
+/// spans the suspension, so it lives in the frame), so its size class holds
+/// only what this coroutine returned to the pool.
+Task<> big_frame(Engine& e) {
+  std::array<int, 512> scratch{};
+  scratch[1] = 7;
+  co_await e.delay(1_ns);
+  g_frame_sink = scratch[1];
+}
+
+TEST(Task, FrameOutlivingItsEngineReturnsToPool) {
+  std::optional<Task<>> orphan;
+  {
+    Engine e;
+    orphan.emplace(big_frame(e));
+  }
+  // The Engine is gone; destroying the lazy Task still hands its frame to
+  // the process-global pool.
+  orphan.reset();
+  const detail::FramePoolCounters before = detail::frame_pool_counters();
+  Engine e;
+  Task<> again = big_frame(e);  // same coroutine, same size class
+  const detail::FramePoolCounters after = detail::frame_pool_counters();
+  EXPECT_EQ(after.pool_hits, before.pool_hits + 1);
+  EXPECT_EQ(after.host_allocs, before.host_allocs);
 }
 
 }  // namespace

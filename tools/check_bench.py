@@ -19,8 +19,9 @@ more than ``--tolerance`` (default 15%) fails the run.  Two suites:
               shrunken/restored steady-state p95s (simulated time).
   sim_scale — bench_sim_scale / BENCH_sim_scale.json: the calendar-queue
               DES engine at paper scale (raw events/sec, allocation-free
-              event path, >= 256-node sharded UMT sweep) and the process
-              peak RSS after the sweep (a fixed +15 % ceiling).
+              event path, >= 256-node UMT sweep: simulated runtime, host
+              events/sec and allocations per event) and the process peak
+              RSS after the sweep (a fixed +15 % ceiling).
   doom_submit — bench_doom_submit / BENCH_doom_submit.json: the pd-doom
               command-queue device class.  Gates the DoomPicoDriver's
               submit-latency speedup over the IKC offload path, the
@@ -160,20 +161,19 @@ GATES_SIM_SCALE = [
     # engine-attributed allocations (node-pool chunks, boxed callbacks,
     # calendar rebuilds, coroutine-frame host allocs) per event.
     ("engine_loop.steady_allocs_per_event", "lower", 0.01),
-    ("sweep.n256.sharded_seq.allocs_per_event", "lower", 0.01),
-    ("sweep.n256.sharded_par.allocs_per_event", "lower", 0.01),
+    ("sweep.n256.allocs_per_event", "lower", 0.01),
     # Raw scheduler throughput and the paper-scale sweep rate: host-timed,
     # so run this suite with a wide --tolerance, but a collapse here is
     # exactly the regression this bench exists to catch.
     ("engine_loop.events_per_sec", "higher", 0.0),
-    ("sweep.n256.sharded_seq.events_per_sec", "higher", 0.0),
-    # Simulated results — deterministic; must not drift in either direction,
-    # so gate both the sharded and legacy simulated runtimes as "lower"
-    # (slower simulated apps mean the network/offload model changed) and the
-    # ping-pong bandwidth as "higher".
+    ("sweep.n256.events_per_sec", "higher", 0.0),
+    # Simulated results — deterministic; must not drift, so gate the
+    # simulated runtime as "lower" (slower simulated apps mean the
+    # network/offload model changed), pinned at the committed value
+    # whatever --tolerance the host-timed rows need, and the ping-pong
+    # bandwidth as "higher".
     ("pingpong.mb_per_sec", "higher", 0.0),
-    ("sweep.n256.sim_runtime_sec", "lower", 0.0),
-    ("sweep.n256.legacy_sim_runtime_sec", "lower", 0.0),
+    ("sweep.n256.sim_runtime_sec", "lower", 0.0, 0.0),
     # Host memory after the sweep: a ceiling at the committed value +15 %,
     # whatever --tolerance the host-timed rows need. Page tables and
     # RcvArrays are the bulk of it, so a layout bloat in either trips this.
@@ -182,10 +182,8 @@ GATES_SIM_SCALE = [
 
 INFORMATIONAL_SIM_SCALE = [
     "engine_loop.wall_sec",
-    "sweep.n256.sharded_seq.wall_sec",
-    "sweep.n256.sharded_par.wall_sec",
-    "sweep.n256.par_speedup",
-    "sweep.n256.legacy.events_per_sec",
+    "sweep.n256.wall_sec",
+    "sweep.n256.events",
 ]
 
 # pd-doom batched submit: offload vs fast path (§3.4 on the second device
