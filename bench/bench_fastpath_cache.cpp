@@ -8,8 +8,9 @@
 //   optimized  — an ExtentCache hit (no walk), descriptor build into an
 //                arena-recycled vector, and a slab-magazine kmalloc/kfree.
 //
-// The bench measures both pipelines on a repeated-buffer workload and
-// counts real heap allocations per call via a replaced operator new, then
+// The bench times both pipelines on a repeated-buffer workload in
+// interleaved rounds (the speedup is the median per-round ratio), counts
+// real heap allocations per call via a replaced operator new, then
 // emits BENCH_fastpath.json. It fails (non-zero exit) if the optimized
 // pipeline is less than 2x faster or still allocates in steady state —
 // the acceptance bar for the fast-path cache work.
@@ -20,6 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "bench/bench_common.hpp"
 #include "src/common/units.hpp"
@@ -219,23 +221,60 @@ NumaResult run_numa(bool numa_aware, std::uint64_t iters) {
   return r;
 }
 
-template <typename Op>
-PipelineResult run_pipeline(std::uint64_t warmup, std::uint64_t iters, Op&& op) {
-  PipelineResult r;
+/// One pipeline's totals over every timed round.
+struct Timed {
+  std::uint64_t ops = 0;
+  std::uint64_t allocs = 0;
+  double secs = 0;
   std::uint64_t sink = 0;
-  for (std::uint64_t i = 0; i < warmup; ++i) sink += op();
-  const std::uint64_t allocs_before = g_heap_allocs.load(std::memory_order_relaxed);
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::uint64_t i = 0; i < iters; ++i) sink += op();
-  const auto t1 = std::chrono::steady_clock::now();
-  const std::uint64_t allocs_after = g_heap_allocs.load(std::memory_order_relaxed);
-  const double secs = std::chrono::duration<double>(t1 - t0).count();
-  r.ops = iters;
-  r.ops_per_sec = static_cast<double>(iters) / (secs > 0 ? secs : 1e-9);
-  r.allocs_per_op =
-      static_cast<double>(allocs_after - allocs_before) / static_cast<double>(iters);
-  if (sink == 0) std::abort();  // keep the work observable
-  return r;
+
+  template <typename Op>
+  double round(std::uint64_t iters, Op& op) {
+    for (std::uint64_t i = 0; i < iters / 10; ++i) sink += op();  // re-warm caches
+    const std::uint64_t allocs_before = g_heap_allocs.load(std::memory_order_relaxed);
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::uint64_t i = 0; i < iters; ++i) sink += op();
+    const double dt = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    allocs += g_heap_allocs.load(std::memory_order_relaxed) - allocs_before;
+    ops += iters;
+    secs += dt;
+    return static_cast<double>(iters) / (dt > 0 ? dt : 1e-9);
+  }
+
+  PipelineResult result() const {
+    if (sink == 0) std::abort();  // keep the work observable
+    PipelineResult r;
+    r.ops = ops;
+    r.ops_per_sec = static_cast<double>(ops) / (secs > 0 ? secs : 1e-9);
+    r.allocs_per_op = static_cast<double>(allocs) / static_cast<double>(ops);
+    return r;
+  }
+};
+
+/// Time the baseline and optimized pipelines in `rounds` interleaved
+/// rounds of `iters / rounds` operations each (after `warmup` untimed
+/// operations of each). The speedup is the median of the per-round
+/// throughput ratios: host drift (frequency scaling, a noisy neighbour)
+/// lands on both sides of a round's ratio instead of on one pipeline.
+template <typename BaseOp, typename FastOp>
+double run_interleaved(std::uint64_t warmup, std::uint64_t iters, int rounds, BaseOp&& base_op,
+                       FastOp&& fast_op, PipelineResult& base, PipelineResult& fast) {
+  Timed b, f;
+  for (std::uint64_t i = 0; i < warmup; ++i) b.sink += base_op();
+  for (std::uint64_t i = 0; i < warmup; ++i) f.sink += fast_op();
+  const std::uint64_t per_round = iters / static_cast<std::uint64_t>(rounds);
+  std::vector<double> ratios;
+  ratios.reserve(static_cast<std::size_t>(rounds));
+  for (int r = 0; r < rounds; ++r) {
+    const double base_rate = b.round(per_round, base_op);
+    const double fast_rate = f.round(per_round, fast_op);
+    ratios.push_back(fast_rate / base_rate);
+  }
+  base = b.result();
+  fast = f.result();
+  std::sort(ratios.begin(), ratios.end());
+  const std::size_t mid = ratios.size() / 2;
+  return ratios.size() % 2 == 1 ? ratios[mid] : (ratios[mid - 1] + ratios[mid]) / 2.0;
 }
 
 }  // namespace
@@ -255,17 +294,17 @@ int main() {
   if (!va.ok()) return 1;
 
   // Baseline: the pre-slab map-per-block heap (slab magazines disabled).
+  // Optimized: extent cache + arena descriptor buffer + slab heap.
   KernelHeap old_heap({kLwkCpu}, ForeignFreePolicy::remote_queue,
                       0x0000'00F0'0000'0000ull, /*slab_enabled=*/false);
-  PipelineResult base = run_pipeline(
-      warmup, iters, [&] { return baseline_op(as, *va, old_heap); });
-
-  // Optimized: extent cache + arena descriptor buffer + slab heap.
   KernelHeap slab_heap({kLwkCpu}, ForeignFreePolicy::remote_queue);
   ExtentCache cache;
   std::vector<Descriptor> arena;
-  PipelineResult fast = run_pipeline(
-      warmup, iters, [&] { return cached_op(as, *va, cache, arena, slab_heap); });
+  constexpr int kRounds = 20;
+  PipelineResult base, fast;
+  const double speedup = run_interleaved(
+      warmup, iters, kRounds, [&] { return baseline_op(as, *va, old_heap); },
+      [&] { return cached_op(as, *va, cache, arena, slab_heap); }, base, fast);
 
   // Sanity: the cached extents must match a fresh walk bit for bit.
   auto truth = as.physical_extents(*va, kBufBytes, kDescCap);
@@ -428,7 +467,6 @@ int main() {
   const auto elastic = pd::bench::run_elastic_storm(
       elastic_cfg, 64, pd::from_us(3), pd::from_us(2), elastic_window, /*shrink_by=*/2);
 
-  const double speedup = fast.ops_per_sec / base.ops_per_sec;
   std::printf("  workload: %llu sends of the same pinned %llu KiB buffer\n",
               static_cast<unsigned long long>(iters),
               static_cast<unsigned long long>(kBufBytes >> 10));
@@ -436,9 +474,9 @@ int main() {
               base.allocs_per_op);
   std::printf("  optimized: %12.0f ops/s, %5.2f heap allocs/op\n", fast.ops_per_sec,
               fast.allocs_per_op);
-  std::printf("  speedup  : %.1fx  (cache: %llu hits / %llu misses; heap: %llu slab "
-              "reuses, %llu host allocs)\n",
-              speedup, static_cast<unsigned long long>(cache.stats().hits),
+  std::printf("  speedup  : %.1fx median of %d interleaved rounds  (cache: %llu hits / "
+              "%llu misses; heap: %llu slab reuses, %llu host allocs)\n",
+              speedup, kRounds, static_cast<unsigned long long>(cache.stats().hits),
               static_cast<unsigned long long>(cache.stats().misses),
               static_cast<unsigned long long>(slab_heap.stats().slab_reuses),
               static_cast<unsigned long long>(slab_heap.stats().host_allocs));

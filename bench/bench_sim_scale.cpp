@@ -12,13 +12,20 @@
 //                 gated) and host events/sec (informational).
 //   sweep       — UMT weak scaling to >= 256 simulated nodes: simulated
 //                 solve time and event count (deterministic, gated), host
-//                 events/sec and engine-attributed allocations per event.
+//                 events/sec, engine-attributed allocations per event and
+//                 peak RSS. Each point runs in its own child process,
+//                 forked before anything else has run: the coroutine-frame
+//                 pool is process-global, so a point that followed larger
+//                 runs in the same process would reuse their frames and
+//                 report fewer allocations than it makes on its own.
 //
-// After the sweep the process peak RSS is recorded as `peak_rss_mb`: every
-// simulated process owns a page table and every HFI an RcvArray, so host
-// bloat in either shows up here.
+// `peak_rss_mb` is the largest peak RSS of any one process: the sweep
+// points' children (the 256-node point dominates) and the parent that runs
+// the engine loop and ping-pong. Every simulated process owns a page table
+// and every HFI an RcvArray, so host bloat in either shows up here.
 //
 // Emits BENCH_sim_scale.json for tools/check_bench.py --suite sim_scale.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -29,6 +36,8 @@
 #include <vector>
 
 #include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "bench/bench_common.hpp"
 #include "src/apps/proxies.hpp"
@@ -200,7 +209,14 @@ struct PointRun {
   double wall_sec = 0;
   double events_per_sec = 0;
   double allocs_per_event = 0;  // engine-attributed (pool/box/rebuild/frames)
+  double peak_rss_mb = 0;       // of the process that ran only this point
 };
+
+double process_peak_rss_mb(int who) {
+  rusage usage{};
+  getrusage(who, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB on Linux
+}
 
 PointRun run_umt_point(int nodes, int rpn) {
   mpirt::ClusterOptions copts;
@@ -236,6 +252,29 @@ PointRun run_umt_point(int nodes, int rpn) {
   return p;
 }
 
+/// Run one sweep point in a forked child and read its PointRun back over a
+/// pipe. Returns false when the child failed.
+bool run_umt_point_isolated(int nodes, int rpn, PointRun& out) {
+  int fds[2];
+  if (pipe(fds) != 0) return false;
+  std::fflush(nullptr);  // the child must not replay buffered output
+  const pid_t pid = fork();
+  if (pid < 0) return false;
+  if (pid == 0) {
+    close(fds[0]);
+    PointRun p = run_umt_point(nodes, rpn);
+    p.peak_rss_mb = process_peak_rss_mb(RUSAGE_SELF);
+    const bool sent = write(fds[1], &p, sizeof(p)) == static_cast<ssize_t>(sizeof(p));
+    _exit(sent ? 0 : 1);
+  }
+  close(fds[1]);
+  const bool got = read(fds[0], &out, sizeof(out)) == static_cast<ssize_t>(sizeof(out));
+  close(fds[0]);
+  int status = 0;
+  return waitpid(pid, &status, 0) == pid && WIFEXITED(status) && WEXITSTATUS(status) == 0 &&
+         got;
+}
+
 }  // namespace
 
 int main() {
@@ -243,6 +282,22 @@ int main() {
   pd::bench::print_banner(
       "Sim-scale — calendar-queue DES engine at paper scale",
       "O(1) scheduling, allocation-free events, >= 256-node runs");
+
+  // Section 3 runs first, one forked child per point, while this process
+  // is still pristine: every point then starts from the same empty frame
+  // pool whatever ran before it. Quick mode keeps the small point and the
+  // paper-scale 256-node point (the gate requires >= 256 nodes).
+  const int rpn = 8;
+  std::vector<PointRun> sweep;
+  for (int n : {16, 64, 256}) {
+    if (quick_mode() && n == 64) continue;
+    PointRun p;
+    if (!run_umt_point_isolated(n, rpn, p)) {
+      std::printf("  FAIL: the %d-node sweep point's child process failed\n", n);
+      return 1;
+    }
+    sweep.push_back(p);
+  }
 
   // Section 1 — raw engine loop.
   const std::uint64_t loop_events = quick_mode() ? 200'000 : 1'000'000;
@@ -266,30 +321,21 @@ int main() {
               pp.mb_per_sec, static_cast<unsigned long long>(pp.events),
               pp.events_per_sec);
 
-  // Section 3 — UMT sweep. Quick mode keeps the small point and the
-  // paper-scale 256-node point (the gate requires >= 256 nodes).
-  const int rpn = 8;
-  std::vector<int> node_counts;
-  for (int n : {16, 64, 256})
-    if (!quick_mode() || n != 64) node_counts.push_back(n);
-
-  std::vector<PointRun> sweep;
-  pd::TextTable table({"Nodes", "Ranks", "Sim s", "Events", "Wall s", "ev/s", "allocs/ev"});
-  for (int n : node_counts) {
-    const PointRun p = run_umt_point(n, rpn);
-    table.add_row({std::to_string(n), std::to_string(n * rpn),
+  // Section 3 — the UMT sweep, run above.
+  pd::TextTable table(
+      {"Nodes", "Ranks", "Sim s", "Events", "Wall s", "ev/s", "allocs/ev", "RSS MiB"});
+  for (const PointRun& p : sweep)
+    table.add_row({std::to_string(p.nodes), std::to_string(p.nodes * rpn),
                    pd::format_double(p.runtime_sec, 4), std::to_string(p.events),
                    pd::format_double(p.wall_sec, 2), pd::format_double(p.events_per_sec, 0),
-                   pd::format_double(p.allocs_per_event, 4)});
-    sweep.push_back(p);
-  }
+                   pd::format_double(p.allocs_per_event, 4),
+                   pd::format_double(p.peak_rss_mb, 1)});
   std::printf("%s\n", table.to_string().c_str());
   const PointRun& top = sweep.back();
 
-  rusage usage{};
-  getrusage(RUSAGE_SELF, &usage);
-  const double peak_rss_mb = static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB on Linux
-  std::printf("  peak RSS after the sweep: %.1f MiB\n", peak_rss_mb);
+  double peak_rss = process_peak_rss_mb(RUSAGE_SELF);
+  for (const PointRun& p : sweep) peak_rss = std::max(peak_rss, p.peak_rss_mb);
+  std::printf("  peak RSS of any one process: %.1f MiB\n", peak_rss);
 
   std::FILE* json = std::fopen("BENCH_sim_scale.json", "w");
   if (json == nullptr) return 1;
@@ -305,7 +351,7 @@ int main() {
                "  \"pingpong\": {\"bytes\": %llu, \"iters\": %d, \"mb_per_sec\": %.1f, "
                "\"events\": %llu, \"events_per_sec\": %.0f},\n"
                "  \"sweep\": {\n",
-               quick_mode() ? "true" : "false", top.nodes, rpn, peak_rss_mb,
+               quick_mode() ? "true" : "false", top.nodes, rpn, peak_rss,
                static_cast<unsigned long long>(loop.events), loop.wall_sec,
                loop.events_per_sec, loop.steady_allocs_per_event,
                static_cast<unsigned long long>(loop.pool_chunks),
@@ -318,10 +364,10 @@ int main() {
     std::fprintf(json,
                  "    \"n%d\": {\"nodes\": %d, \"ranks\": %d, \"sim_runtime_sec\": %.6f, "
                  "\"events\": %llu, \"wall_sec\": %.3f, \"events_per_sec\": %.0f, "
-                 "\"allocs_per_event\": %.4f}%s\n",
+                 "\"allocs_per_event\": %.4f, \"peak_rss_mb\": %.1f}%s\n",
                  p.nodes, p.nodes, p.nodes * rpn, p.runtime_sec,
                  static_cast<unsigned long long>(p.events), p.wall_sec, p.events_per_sec,
-                 p.allocs_per_event, i + 1 < sweep.size() ? "," : "");
+                 p.allocs_per_event, p.peak_rss_mb, i + 1 < sweep.size() ? "," : "");
   }
   std::fprintf(json, "  }\n}\n");
   std::fclose(json);

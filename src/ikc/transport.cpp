@@ -264,6 +264,14 @@ std::size_t IkcTransport::reply_ring_capacity(int channel) const {
   return channels_.at(static_cast<std::size_t>(channel))->reply.capacity();
 }
 
+std::size_t IkcTransport::allocated_ring_slots() const {
+  std::size_t slots = 0;
+  for (const auto& ch : channels_)
+    slots += ch->rings[0].allocated_slots() + ch->rings[1].allocated_slots() +
+             ch->reply.allocated_slots() + ch->lock.waiter_slots();
+  return slots;
+}
+
 const IkcTransport::JobStats* IkcTransport::job_stats(JobId job) const {
   auto it = jobs_.find(job);
   return it == jobs_.end() ? nullptr : &it->second.stats;

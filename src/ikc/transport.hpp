@@ -255,6 +255,10 @@ class IkcTransport {
   std::size_t reply_ring_depth(int channel) const;
   /// Current reply-ring capacity (grows under ikc_reply_autosize).
   std::size_t reply_ring_capacity(int channel) const;
+  /// Host storage behind every channel's request rings, reply ring and
+  /// lock waiter queue, in slots. Storage is allocated on first use, so a
+  /// direct-mode transport reports 0.
+  std::size_t allocated_ring_slots() const;
   const DepthHistogram& depth_histogram(int channel) const {
     return depth_hist_.at(channel);
   }
@@ -274,6 +278,9 @@ class IkcTransport {
   };
   using RequestPtr = std::shared_ptr<Request>;
 
+  /// One LWK CPU's channel. Its rings and lock waiter queue allocate their
+  /// slots on first use (RingBuffer, sim::Resource), so channels the direct
+  /// transport never touches cost only this object.
   struct Channel {
     Channel(sim::Engine& engine, std::string abi, Dur lock_cost, std::size_t depth,
             std::size_t reply_depth)

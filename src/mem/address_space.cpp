@@ -47,41 +47,43 @@ Result<VirtAddr> AddressSpace::mmap_anonymous(std::uint64_t len, std::uint32_t p
   if (len == 0) return Errno::einval;
   len = page_ceil(len, kPage4K);
 
-  std::vector<Backing> backings;
-  auto rollback = [&] {
-    for (const auto& b : backings) phys_.free(b.pa, b.len);
-  };
-
   if (policy_ == BackingPolicy::linux_4k) {
     // Page-by-page backing. To model a fragmented host, allocate small
     // random-order blocks so virtually adjacent pages land on physically
-    // scattered frames (contiguity across page boundaries is rare).
+    // scattered frames (contiguity across page boundaries is rare). The
+    // page table is the only record of the frames: munmap() walks it.
     auto va = reserve_va(len, kPage4K);
+    std::vector<PhysAddr> frames;
+    frames.reserve(len / kPage4K);
     for (std::uint64_t off = 0; off < len; off += kPage4K) {
       auto pa = phys_.alloc(kPage4K, preferred_kind_);
       if (!pa.ok()) {
-        rollback();
+        for (PhysAddr f : frames) phys_.free(f, kPage4K);
         return pa.error();
       }
-      backings.push_back(Backing{*pa, kPage4K, kPage4K});
+      frames.push_back(*pa);
     }
     // Shuffle frame order before mapping: each allocation above may have
     // been contiguous with its neighbour; a long-running kernel's page
     // pool is not.
-    for (std::size_t i = backings.size(); i > 1; --i)
-      std::swap(backings[i - 1], backings[rng_.next_below(i)]);
+    for (std::size_t i = frames.size(); i > 1; --i)
+      std::swap(frames[i - 1], frames[rng_.next_below(i)]);
     VirtAddr cur = *va;
-    for (auto& b : backings) {
-      Status s = pt_.map(cur, b.pa, kPage4K, prot);
+    for (PhysAddr f : frames) {
+      Status s = pt_.map(cur, f, kPage4K, prot);
       assert(s.ok());
       (void)s;
       cur += kPage4K;
     }
     Vma vma{*va, *va + len, prot, /*pinned=*/false, /*device=*/false};
     vmas_.emplace(*va, vma);
-    backings_.emplace(*va, std::move(backings));
     return *va;
   }
+
+  std::vector<Backing> backings;
+  auto rollback = [&] {
+    for (const auto& b : backings) phys_.free(b.pa, b.len);
+  };
 
   // LWK policy: back with the largest contiguous blocks available, 2 MiB
   // leaves when alignment allows, and pin everything up front.
@@ -136,6 +138,16 @@ Result<VirtAddr> AddressSpace::mmap_device(PhysAddr pa, std::uint64_t len, std::
 }
 
 void AddressSpace::release_backing(const Vma& vma) {
+  if (policy_ == BackingPolicy::linux_4k) {
+    // Free the frames the page table maps while the mapping still exists,
+    // in ascending VA order: the buddy allocator's free lists are LIFO, so
+    // this order decides which frames later allocations get.
+    pt_.for_each_leaf(vma.start, vma.end - vma.start, [&](const PageTable::Leaf& leaf) {
+      phys_.free(leaf.pa, leaf.page);
+      return true;
+    });
+    return;
+  }
   auto it = backings_.find(vma.start);
   if (it == backings_.end()) return;
   for (const auto& b : it->second) phys_.free(b.pa, b.len);
@@ -147,8 +159,8 @@ Status AddressSpace::munmap(VirtAddr addr, std::uint64_t len) {
   if (it == vmas_.end() || it->second.end - it->second.start != page_ceil(len, kPage4K))
     return Errno::einval;
   const Vma vma = it->second;
-  pt_.unmap_range(vma.start, vma.end - vma.start);
   if (!vma.device) release_backing(vma);
+  pt_.unmap_range(vma.start, vma.end - vma.start);
   vmas_.erase(it);
   // Caches validate against the generation, then against the interval log:
   // only entries whose range overlaps a logged unmap are actually stale.
@@ -299,12 +311,11 @@ bool AddressSpace::is_pinned(PhysAddr frame) const {
 
 double AddressSpace::large_page_fraction() const {
   std::uint64_t large = 0, total = 0;
-  for (const auto& [start, list] : backings_) {
-    for (const auto& b : list) {
-      total += b.len;
+  for (const auto& [start, vma] : vmas_)
+    if (!vma.device) total += vma.end - vma.start;
+  for (const auto& [start, list] : backings_)
+    for (const auto& b : list)
       if (b.page == kPage2M) large += b.len;
-    }
-  }
   return total == 0 ? 0.0 : static_cast<double>(large) / static_cast<double>(total);
 }
 

@@ -140,6 +140,8 @@ class AddressSpace {
   double large_page_fraction() const;
 
  private:
+  /// One physical block of an LWK mapping. Linux mappings keep no such
+  /// record: their 4 KiB frames are exactly the page table's leaves.
   struct Backing {
     PhysAddr pa;
     std::uint64_t len;      // allocation unit handed back to PhysMap
@@ -166,7 +168,7 @@ class AddressSpace {
   std::uint64_t unmap_log_floor_ = 0;
 
   std::map<VirtAddr, Vma> vmas_;                         // keyed by start
-  std::map<VirtAddr, std::vector<Backing>> backings_;    // keyed by VMA start
+  std::map<VirtAddr, std::vector<Backing>> backings_;    // lwk_contig only; keyed by VMA start
   // get_user_pages() pins per 4 KiB frame number; LWK backings are pinned
   // by being mapped and are not counted here (see held_extents()).
   FlatMap32<std::uint32_t> gup_pins_;

@@ -45,6 +45,8 @@ class SharedSpinlock {
   void release() { res_.release(); }
 
   bool locked() const { return res_.available() == 0; }
+  /// Waiter-queue slots with host storage (0 until the lock is contended).
+  std::size_t waiter_slots() const { return res_.waiter_slots(); }
   std::uint64_t acquisitions() const { return acquisitions_; }
   std::uint64_t contended_acquisitions() const { return contended_; }
   double total_spin_us() const { return to_us(spin_time_); }

@@ -84,7 +84,10 @@ constexpr std::size_t kInitBuckets = 64;
 constexpr std::size_t kMaxBuckets = std::size_t{1} << 20;
 }  // namespace
 
-Engine::Engine() { buckets_.resize(kInitBuckets); }
+Engine::Engine() {
+  buckets_.resize(kInitBuckets);
+  detached_.prev = detached_.next = &detached_;
+}
 
 Engine::~Engine() {
   // Destroy pending payloads without running them (a drained simulation
@@ -96,9 +99,19 @@ Engine::~Engine() {
     if (n->drop != nullptr) n->drop(*n);
   // Detached service coroutines (device engines etc.) loop forever and
   // are still suspended when the simulation ends; reclaim their frames.
-  // Nothing resumes during teardown, so destroying in set order is safe —
+  // Nothing resumes during teardown, so destroying in spawn order is safe —
   // detached frames are top-level and never own one another.
-  for (void* addr : detached_) std::coroutine_handle<>::from_address(addr).destroy();
+  while (detached_.next != &detached_) {
+    detail::DetachedLink* link = detached_.next;
+    link->unlink();
+    link->frame.destroy();
+  }
+}
+
+std::int64_t Engine::live_tasks() const {
+  std::int64_t n = 0;
+  for (const detail::DetachedLink* l = detached_.next; l != &detached_; l = l->next) ++n;
+  return n;
 }
 
 void Engine::schedule_resume(Dur d, std::coroutine_handle<> h) {

@@ -31,7 +31,6 @@
 #include <memory>
 #include <new>
 #include <type_traits>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -53,6 +52,22 @@ struct FramePoolCounters {
   std::uint64_t pool_hits;    ///< frames served from a free list
 };
 FramePoolCounters frame_pool_counters() noexcept;
+
+/// Intrusive hook, embedded in every coroutine promise, that threads a
+/// detached (spawned) frame onto its engine's circular list of live
+/// detached frames — bookkeeping without a host allocation per spawn.
+struct DetachedLink {
+  DetachedLink* prev = nullptr;
+  DetachedLink* next = nullptr;  // non-null exactly while linked
+  std::coroutine_handle<> frame;
+
+  bool linked() const { return next != nullptr; }
+  void unlink() {
+    prev->next = next;
+    next->prev = prev;
+    prev = next = nullptr;
+  }
+};
 
 }  // namespace detail
 
@@ -131,13 +146,20 @@ class Engine {
   Stats stats() const { return stats_; }
 
   // --- Detached-task bookkeeping (see spawn in task.hpp) -------------------
-  // The engine records each detached frame so immortal service loops
-  // (device engines that `while (true)` forever) are destroyed with the
-  // engine rather than leaked when the simulation ends.
+  // The engine links each detached frame into a list so immortal service
+  // loops (device engines that `while (true)` forever) are destroyed with
+  // the engine rather than leaked when the simulation ends. A finishing
+  // frame unlinks itself.
 
-  void note_task_spawned(std::coroutine_handle<> h) { detached_.insert(h.address()); }
-  void note_task_done(std::coroutine_handle<> h) { detached_.erase(h.address()); }
-  std::int64_t live_tasks() const { return static_cast<std::int64_t>(detached_.size()); }
+  void note_task_spawned(detail::DetachedLink& link, std::coroutine_handle<> h) {
+    link.frame = h;
+    link.prev = detached_.prev;
+    link.next = &detached_;
+    detached_.prev->next = &link;
+    detached_.prev = &link;
+  }
+  /// Detached tasks not yet finished (walks the list).
+  std::int64_t live_tasks() const;
 
  private:
   struct EventNode {
@@ -254,7 +276,7 @@ class Engine {
   EventNode* free_list_ = nullptr;
   std::vector<std::unique_ptr<EventNode[]>> chunks_;
 
-  std::unordered_set<void*> detached_;  // frames of live detached tasks
+  detail::DetachedLink detached_;  // sentinel of the live detached-frame list
   Stats stats_;
 };
 

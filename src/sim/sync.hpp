@@ -9,19 +9,39 @@
 // All primitives schedule resumptions through the engine queue instead of
 // resuming inline, so a trigger/release never reenters the caller and
 // event ordering stays strictly time/sequence based.
+//
+// Queues are RingBuffers that double when full and allocate nothing until
+// the first push: a primitive that never blocks anyone (an uncontended
+// lock, an unused IKC channel) costs no host heap.
 #pragma once
 
 #include <cassert>
 #include <coroutine>
 #include <cstddef>
-#include <deque>
 #include <optional>
 #include <utility>
 #include <vector>
 
+#include "src/common/ring_buffer.hpp"
 #include "src/sim/engine.hpp"
 
 namespace pd::sim {
+
+namespace detail {
+
+/// Initial slot count of a primitive's queue (allocated on first use).
+inline constexpr std::size_t kQueueSlots = 4;
+
+/// Append to an unbounded FIFO, doubling its ring when full.
+template <typename T>
+void enqueue(RingBuffer<T>& q, T item) {
+  if (q.full()) q.grow(2 * q.capacity());
+  const bool pushed = q.push(std::move(item));
+  assert(pushed);
+  (void)pushed;
+}
+
+}  // namespace detail
 
 /// One-shot broadcast: waiters before trigger() suspend, waiters after
 /// proceed immediately. Reusable objects should use Channel instead.
@@ -65,13 +85,12 @@ class Channel {
 
   void send(T item) {
     if (!waiters_.empty()) {
-      Waiter w = waiters_.front();
-      waiters_.pop_front();
+      const Waiter w = *waiters_.pop();
       *w.slot = std::move(item);
       engine_->schedule_resume(0, w.h);
       return;
     }
-    items_.push_back(std::move(item));
+    detail::enqueue(items_, std::move(item));
   }
 
   std::size_t pending() const { return items_.size(); }
@@ -83,12 +102,11 @@ class Channel {
 
     bool await_ready() {
       if (ch.items_.empty()) return false;
-      slot = std::move(ch.items_.front());
-      ch.items_.pop_front();
+      slot = ch.items_.pop();
       return true;
     }
     void await_suspend(std::coroutine_handle<> h) {
-      ch.waiters_.push_back(Waiter{h, &slot});
+      detail::enqueue(ch.waiters_, Waiter{h, &slot});
     }
     T await_resume() {
       assert(slot.has_value());
@@ -104,8 +122,8 @@ class Channel {
   };
 
   Engine* engine_;
-  std::deque<T> items_;
-  std::deque<Waiter> waiters_;
+  RingBuffer<T> items_{detail::kQueueSlots};
+  RingBuffer<Waiter> waiters_{detail::kQueueSlots};
 };
 
 /// Counted FIFO semaphore. acquire(n) suspends until n units are free and
@@ -123,6 +141,8 @@ class Resource {
   std::size_t capacity() const { return capacity_; }
   std::size_t available() const { return free_; }
   std::size_t queue_length() const { return waiters_.size(); }
+  /// Waiter-queue slots with host storage (0 until someone first waits).
+  std::size_t waiter_slots() const { return waiters_.allocated_slots(); }
   /// Units shrink() could not take from the free pool: retired lazily as
   /// their current holders release them.
   std::size_t shrink_debt() const { return debt_; }
@@ -160,7 +180,7 @@ class Resource {
       return false;
     }
     void await_suspend(std::coroutine_handle<> h) {
-      res.waiters_.push_back(Waiter{h, n});
+      detail::enqueue(res.waiters_, Waiter{h, n});
     }
     void await_resume() const noexcept {}
   };
@@ -205,8 +225,7 @@ class Resource {
 
   void grant() {
     while (!waiters_.empty() && waiters_.front().n <= free_) {
-      Waiter w = waiters_.front();
-      waiters_.pop_front();
+      const Waiter w = *waiters_.pop();
       free_ -= w.n;
       engine_->schedule_resume(0, w.h);
     }
@@ -216,7 +235,7 @@ class Resource {
   std::size_t free_;
   std::size_t capacity_;
   std::size_t debt_ = 0;  // held units shrink() is still owed
-  std::deque<Waiter> waiters_;
+  RingBuffer<Waiter> waiters_{detail::kQueueSlots};
 };
 
 }  // namespace pd::sim

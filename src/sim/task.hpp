@@ -7,7 +7,7 @@
 //      transfer and the parent resumes when the child finishes (normal
 //      structured call).
 //   2. `spawn(engine, std::move(task))` — detach it as a top-level simulated
-//      process; the engine counts it and the frame self-destroys at
+//      process; the engine lists it and the frame self-destroys at
 //      completion.
 //
 // Tasks always run to completion; there is no cancellation (simulated OS
@@ -29,7 +29,7 @@ namespace detail {
 
 struct PromiseBase {
   std::coroutine_handle<> continuation;
-  Engine* detached_owner = nullptr;  // non-null once detached via spawn()
+  DetachedLink detached;  // linked into the engine's list once spawned
   std::exception_ptr exception;
 
   std::suspend_always initial_suspend() noexcept { return {}; }
@@ -44,16 +44,16 @@ struct PromiseBase {
 };
 
 /// At the final suspend point either resume whoever co_awaited us, or — for
-/// detached tasks — destroy the frame and notify the engine.
+/// detached tasks — unlink from the engine's list and destroy the frame.
 template <typename Promise>
 struct FinalAwaiter {
   bool await_ready() const noexcept { return false; }
   std::coroutine_handle<> await_suspend(std::coroutine_handle<Promise> h) noexcept {
     PromiseBase& p = h.promise();
-    if (p.detached_owner != nullptr) {
+    if (p.detached.linked()) {
       // A detached simulated process has nobody to rethrow into.
       assert(!p.exception && "unhandled exception escaped a detached Task");
-      p.detached_owner->note_task_done(h);
+      p.detached.unlink();
       h.destroy();
       return std::noop_coroutine();
     }
@@ -176,8 +176,7 @@ template <typename U>
 void spawn(Engine& engine, Task<U> task) {
   assert(task.valid());
   auto h = std::exchange(task.h_, {});
-  h.promise().detached_owner = &engine;
-  engine.note_task_spawned(h);
+  engine.note_task_spawned(h.promise().detached, h);
   h.resume();
 }
 

@@ -70,6 +70,37 @@ TEST(IkcTransport, RingOffloadCompletesWithResult) {
   EXPECT_EQ(h.queueing.count(), 1u);
 }
 
+// Channel request rings, reply rings and lock waiter queues allocate their
+// slots on first use. The direct transport never touches them, so it holds
+// no ring storage at all, while the configured depths stay visible.
+TEST(IkcTransport, DirectModeAllocatesNoRingStorage) {
+  os::Config cfg;
+  ASSERT_EQ(cfg.ikc_mode, os::IkcMode::direct) << "direct is the default transport";
+  Harness h(cfg);
+  std::vector<long> order, results;
+  constexpr int kOps = 32;
+  const int channels = h.transport->num_channels();
+  for (int i = 0; i < kOps; ++i) h.submit(i, Priority::bulk, i % channels, order, results);
+  h.engine.run();
+  ASSERT_EQ(results.size(), static_cast<std::size_t>(kOps));
+  EXPECT_EQ(h.transport->allocated_ring_slots(), 0u);
+  for (int c = 0; c < channels; ++c) {
+    EXPECT_EQ(h.transport->reply_ring_capacity(c), static_cast<std::size_t>(cfg.ikc_reply_depth));
+    EXPECT_EQ(h.transport->reply_ring_depth(c), 0u);
+    EXPECT_EQ(h.transport->channel_depth(c), 0u);
+  }
+
+  // Ring mode allocates on use, not at construction.
+  Harness r(ring_cfg());
+  EXPECT_EQ(r.transport->allocated_ring_slots(), 0u);
+  std::vector<long> ring_order, ring_results;
+  r.submit(1, Priority::control, 0, ring_order, ring_results);
+  r.engine.run();
+  ASSERT_EQ(ring_results.size(), 1u);
+  EXPECT_GT(r.transport->allocated_ring_slots(), 0u);
+  EXPECT_EQ(r.transport->reply_ring_capacity(0), static_cast<std::size_t>(r.cfg.ikc_reply_depth));
+}
+
 TEST(IkcTransport, BatchDrainAmortizesWakeups) {
   auto cfg = ring_cfg();
   cfg.linux_service_cpus = 1;  // one loop owns every channel

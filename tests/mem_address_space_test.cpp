@@ -3,6 +3,10 @@
 // translation/extent cache layered on top of it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "src/common/rng.hpp"
 #include "src/common/units.hpp"
 #include "src/mem/address_space.hpp"
 #include "src/mem/extent_cache.hpp"
@@ -64,6 +68,60 @@ TEST(AddressSpaceLinux, GetUserPagesUnmappedFaults) {
   auto pages = as.get_user_pages(*va, 16_KiB);
   EXPECT_EQ(pages.error(), Errno::efault);
   EXPECT_EQ(as.pinned_frame_count(), 0u) << "partial pins must be released";
+}
+
+// A Linux mapping keeps no frame list of its own: munmap frees the frames
+// its page table maps, in ascending VA order. A mirror PhysMap replays
+// exactly that (allocate in allocation order, free in VA order); the
+// buddy allocator's free lists are LIFO, so any other free order would
+// make the two hand out different frames on a later cycle.
+TEST(AddressSpaceLinux, MunmapCyclesFreeFramesInVaOrder) {
+  PhysMap phys = small_map();
+  PhysMap mirror = small_map();
+  const std::uint64_t free0 = phys.free_bytes(MemKind::ddr);
+  {
+    AddressSpace as(phys, BackingPolicy::linux_4k, MemKind::ddr, kMmapBase, 7);
+    struct Mapping {
+      VirtAddr va;
+      std::uint64_t len;
+      std::vector<PhysAddr> frames;  // VA order
+    };
+    std::vector<Mapping> live;
+    Rng rng(11);
+    for (int cycle = 0; cycle < 60; ++cycle) {
+      if (live.empty() || rng.next_double() < 0.6) {
+        const std::uint64_t len = kPage4K * (1 + rng.next_below(96));
+        auto va = as.mmap_anonymous(len, kProtRead | kProtWrite);
+        ASSERT_TRUE(va.ok());
+        Mapping m{*va, len, {}};
+        std::vector<PhysAddr> want;
+        for (std::uint64_t off = 0; off < len; off += kPage4K) {
+          auto t = as.translate(*va + off);
+          ASSERT_TRUE(t.has_value());
+          m.frames.push_back(t->pa);
+          auto pa = mirror.alloc(kPage4K, MemKind::ddr);
+          ASSERT_TRUE(pa.ok());
+          want.push_back(*pa);
+        }
+        std::vector<PhysAddr> got = m.frames;
+        std::sort(got.begin(), got.end());
+        std::sort(want.begin(), want.end());
+        ASSERT_EQ(got, want) << "cycle " << cycle << ": frames diverged from the VA-order free";
+        live.push_back(std::move(m));
+      } else {
+        const std::size_t pick = rng.next_below(live.size());
+        const Mapping& m = live[pick];
+        ASSERT_TRUE(as.munmap(m.va, m.len).ok());
+        for (PhysAddr f : m.frames) mirror.free(f, kPage4K);
+        live[pick] = std::move(live.back());
+        live.pop_back();
+      }
+      ASSERT_EQ(phys.free_bytes(MemKind::ddr), mirror.free_bytes(MemKind::ddr));
+    }
+    for (const Mapping& m : live) ASSERT_TRUE(as.munmap(m.va, m.len).ok());
+    EXPECT_EQ(as.vma_count(), 0u);
+  }
+  EXPECT_EQ(phys.free_bytes(MemKind::ddr), free0) << "every frame returns to the PhysMap";
 }
 
 TEST(AddressSpaceLwk, LargePagesUsedForBigMappings) {

@@ -3,6 +3,10 @@
 // (TEST_P / INSTANTIATE_TEST_SUITE_P).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -247,6 +251,165 @@ TEST_P(RcvArrayProperty, MatchesReferenceAccounting) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RcvArrayProperty, testing::Values(7, 11, 13));
+
+// --- RcvArray vs a dense oracle ----------------------------------------------
+//
+// The sparse RcvArray (occupancy bitmap + live-entry map) must be
+// indistinguishable from the dense one-slot-per-TID table it replaced:
+// same next-fit TIDs, same errors, same in_use() and entry() contents.
+// The oracle below is that dense table. Seeded: PD_PROPERTY_SEED overrides
+// the default and a failure prints the reproducer.
+
+std::uint64_t rcv_oracle_seed() {
+  if (const char* env = std::getenv("PD_PROPERTY_SEED"); env != nullptr && *env != '\0')
+    return std::strtoull(env, nullptr, 0);
+  return 0x7D1Dull;
+}
+
+class DenseRcvArray {
+ public:
+  explicit DenseRcvArray(std::uint32_t n) : entries_(n) {}
+
+  Result<std::uint32_t> program(int ctxt, mem::PhysAddr pa, std::uint64_t len) {
+    if (len == 0 || len > std::numeric_limits<std::uint32_t>::max()) return Errno::einval;
+    if (ctxt < 0 || ctxt > std::numeric_limits<std::int16_t>::max()) return Errno::einval;
+    const auto n = static_cast<std::uint32_t>(entries_.size());
+    if (in_use_ == n) return Errno::enospc;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const std::uint32_t tid = (next_hint_ + i) % n;
+      if (entries_[tid].valid) continue;
+      entries_[tid] = hw::TidEntry{pa, static_cast<std::uint32_t>(len),
+                                   static_cast<std::int16_t>(ctxt), true};
+      next_hint_ = (tid + 1) % n;
+      ++in_use_;
+      return tid;
+    }
+    return Errno::enospc;
+  }
+  Status unprogram(int ctxt, std::uint32_t tid) {
+    if (tid >= entries_.size()) return Errno::einval;
+    hw::TidEntry& e = entries_[tid];
+    if (!e.valid || e.owner_ctxt != ctxt) return Errno::einval;
+    e = hw::TidEntry{};
+    --in_use_;
+    return Status::success();
+  }
+  std::size_t unprogram_all(int ctxt) {
+    std::size_t freed = 0;
+    for (auto& e : entries_)
+      if (e.valid && e.owner_ctxt == ctxt) {
+        e = hw::TidEntry{};
+        --in_use_;
+        ++freed;
+      }
+    return freed;
+  }
+  const hw::TidEntry* entry(std::uint32_t tid) const {
+    return tid < entries_.size() && entries_[tid].valid ? &entries_[tid] : nullptr;
+  }
+  std::uint32_t in_use() const { return in_use_; }
+
+ private:
+  std::vector<hw::TidEntry> entries_;
+  std::uint32_t in_use_ = 0;
+  std::uint32_t next_hint_ = 0;
+};
+
+void expect_same_entry(const hw::RcvArray& arr, const DenseRcvArray& ref, std::uint32_t tid) {
+  const hw::TidEntry* a = arr.entry(tid);
+  const hw::TidEntry* b = ref.entry(tid);
+  ASSERT_EQ(a == nullptr, b == nullptr) << "tid " << tid;
+  if (a == nullptr) return;
+  EXPECT_EQ(a->pa, b->pa) << "tid " << tid;
+  EXPECT_EQ(a->len, b->len) << "tid " << tid;
+  EXPECT_EQ(a->owner_ctxt, b->owner_ctxt) << "tid " << tid;
+  EXPECT_TRUE(a->valid) << "tid " << tid;
+}
+
+void run_rcv_oracle(std::uint64_t seed, std::uint32_t capacity) {
+  SCOPED_TRACE(testing::Message() << "reproduce with PD_PROPERTY_SEED=" << seed
+                                  << " (capacity " << capacity << ")");
+  Rng rng(seed ^ (std::uint64_t{capacity} * 0x9E3779B97F4A7C15ull));
+  hw::RcvArray arr(capacity);
+  DenseRcvArray ref(capacity);
+  std::vector<std::uint32_t> live;  // tids the oracle holds, any order
+  // Phases alternate between filling (wrap-around, full array) and
+  // draining, so next-fit runs over both dense and sparse occupancy.
+  for (int step = 0; step < 6000; ++step) {
+    const bool filling = (step / 500) % 2 == 0;
+    const double r = rng.next_double();
+    const int ctxt = static_cast<int>(rng.next_below(6));
+    if (r < (filling ? 0.70 : 0.30)) {
+      // Mostly valid requests; some carry a bad context or length.
+      int c = ctxt;
+      std::uint64_t len = 4096 * (1 + rng.next_below(64));
+      switch (rng.next_below(20)) {
+        case 0: c = -1 - static_cast<int>(rng.next_below(3)); break;
+        case 1: c = 32768 + static_cast<int>(rng.next_below(100)); break;
+        case 2: len = 0; break;
+        case 3: len = std::uint64_t{1} << 32; break;
+        default: break;
+      }
+      const mem::PhysAddr pa = 0x1000 * (1 + rng.next_below(1 << 20));
+      auto got = arr.program(c, pa, len);
+      auto want = ref.program(c, pa, len);
+      ASSERT_EQ(got.ok(), want.ok()) << "step " << step;
+      if (want.ok()) {
+        ASSERT_EQ(*got, *want) << "next-fit diverged at step " << step;
+        live.push_back(*want);
+      } else {
+        ASSERT_EQ(got.error(), want.error()) << "step " << step;
+      }
+    } else if (r < 0.97) {
+      // Unprogram a live TID (right or wrong owner) or a random index,
+      // including ones past the capacity.
+      std::uint32_t tid;
+      int who = ctxt;
+      std::size_t pick = 0;
+      const bool from_live = !live.empty() && rng.next_double() < 0.85;
+      if (from_live) {
+        pick = rng.next_below(live.size());
+        tid = live[pick];
+        if (rng.next_double() < 0.8) who = ref.entry(tid)->owner_ctxt;
+      } else {
+        tid = static_cast<std::uint32_t>(rng.next_below(std::uint64_t{capacity} + 8));
+      }
+      const Status got = arr.unprogram(who, tid);
+      const Status want = ref.unprogram(who, tid);
+      ASSERT_EQ(got.ok(), want.ok()) << "step " << step << " tid " << tid;
+      if (!want.ok()) {
+        ASSERT_EQ(got.error(), want.error());
+      } else {
+        auto it = std::find(live.begin(), live.end(), tid);
+        *it = live.back();
+        live.pop_back();
+      }
+    } else {
+      const int c = rng.next_below(8) == 0 ? -1 : ctxt;
+      ASSERT_EQ(arr.unprogram_all(c), ref.unprogram_all(c)) << "step " << step;
+      live.erase(std::remove_if(live.begin(), live.end(),
+                                [&](std::uint32_t t) { return ref.entry(t) == nullptr; }),
+                 live.end());
+    }
+    ASSERT_EQ(arr.in_use(), ref.in_use()) << "step " << step;
+    expect_same_entry(arr, ref, static_cast<std::uint32_t>(rng.next_below(capacity + 2)));
+    if (step % 250 == 0)
+      for (std::uint32_t t = 0; t < capacity + 2; ++t) expect_same_entry(arr, ref, t);
+    if (testing::Test::HasFatalFailure() || testing::Test::HasNonfatalFailure()) return;
+  }
+}
+
+TEST(RcvArrayOracle, SparseMatchesDenseTable) {
+  const std::uint64_t seed = rcv_oracle_seed();
+  std::printf("rcv array oracle: PD_PROPERTY_SEED=%llu\n",
+              static_cast<unsigned long long>(seed));
+  // Capacities straddle bitmap-word boundaries (63/64/65), a single entry,
+  // and a share large enough that the array rarely fills.
+  for (std::uint32_t capacity : {1u, 7u, 63u, 64u, 65u, 200u, 1000u}) {
+    run_rcv_oracle(seed, capacity);
+    if (HasFailure()) return;
+  }
+}
 
 }  // namespace
 }  // namespace pd

@@ -10,6 +10,7 @@
 
 #include "src/common/time.hpp"
 #include "src/sim/engine.hpp"
+#include "src/sim/sync.hpp"
 #include "src/sim/task.hpp"
 
 namespace pd::sim {
@@ -116,6 +117,36 @@ TEST(Task, ManyConcurrentSpawnsAllComplete) {
   e.run();
   EXPECT_EQ(done, kTasks);
   EXPECT_EQ(e.live_tasks(), 0);
+}
+
+// Detached frames sit on the engine's intrusive list: finished ones unlink
+// themselves from anywhere in it, and the engine's destructor destroys
+// every one still suspended (running their locals' destructors).
+TEST(Task, EngineDestroysSuspendedDetachedFrames) {
+  struct Witness {
+    int* destroyed;
+    ~Witness() { ++*destroyed; }
+  };
+  int destroyed = 0;
+  {
+    Engine e;
+    Channel<int> never(e);
+    for (int i = 0; i < 10; ++i) {
+      spawn(e, [](Engine& eng, Channel<int>& ch, int* count, bool finish) -> Task<> {
+        Witness w{count};
+        if (finish) {
+          co_await eng.delay(1_ns);
+        } else {
+          (void)co_await ch.recv();
+        }
+      }(e, never, &destroyed, i % 3 == 0));
+    }
+    EXPECT_EQ(e.live_tasks(), 10);
+    e.run();
+    EXPECT_EQ(destroyed, 4) << "finished frames are destroyed at completion";
+    EXPECT_EQ(e.live_tasks(), 6);
+  }
+  EXPECT_EQ(destroyed, 10) << "~Engine destroys the suspended ones";
 }
 
 TEST(Task, VoidTaskAwaitable) {
