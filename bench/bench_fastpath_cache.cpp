@@ -4,14 +4,16 @@
 //   baseline   — a full page-table walk into a freshly allocated extent
 //                vector, a freshly grown descriptor vector, and a
 //                map-per-block kmalloc/kfree of the 192-byte completion
-//                metadata (the pre-slab heap);
+//                metadata (MapPerBlockHeap, a stand-in for the pre-slab
+//                heap);
 //   optimized  — an ExtentCache hit (no walk), descriptor build into an
 //                arena-recycled vector, and a slab-magazine kmalloc/kfree.
 //
 // The bench times both pipelines on a repeated-buffer workload in
 // interleaved rounds (the speedup is the median per-round ratio), counts
-// real heap allocations per call via a replaced operator new, then
-// emits BENCH_fastpath.json. It fails (non-zero exit) if the optimized
+// real heap allocations and page-table walks per call (host-speed
+// independent work counts beside the timed ratio), then emits
+// BENCH_fastpath.json. It fails (non-zero exit) if the optimized
 // pipeline is less than 2x faster or still allocates in steady state —
 // the acceptance bar for the fast-path cache work.
 #include <algorithm>
@@ -20,7 +22,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <deque>
+#include <map>
+#include <memory>
 #include <new>
+#include <unordered_map>
 #include <vector>
 
 #include "bench/bench_common.hpp"
@@ -58,6 +65,17 @@ constexpr std::uint64_t kDescCap = 10240;  // HFI SDMA descriptor limit
 constexpr int kLwkCpu = 60;
 constexpr int kLinuxCpu = 0;
 
+// Reference figures of two deleted baselines, measured on this bench's own
+// storms at commit b28b557 (PD_QUICK=1 run / full run): ring requests with
+// latch replies (every completion its own cross-kernel wakeup) paid 1.00
+// wakeups per offload at a queueing p95 of 69.1 / 69.8 us, and the strict
+// two-class drain (all control, then all bulk, channel by channel) scored
+// Jain 0.617 / 0.6147 on the 64-tenant skewed overload rung. The
+// reply-ring acceptance checks compare against the latch figures.
+constexpr double kLatchWakeupsPerOffload = 1.00;
+double latch_queue_p95_us() { return pd::bench::quick_mode() ? 69.1 : 69.8; }
+double strict_drain_jain64() { return pd::bench::quick_mode() ? 0.617 : 0.6147; }
+
 struct PipelineResult {
   double ops_per_sec = 0;
   double allocs_per_op = 0;   // steady state, after warmup
@@ -69,18 +87,69 @@ struct Descriptor {  // stand-in for hw::SdmaDescriptor (pa, len)
   std::uint32_t len;
 };
 
+/// Stand-in for the pre-slab kernel heap (map-per-block): every kmalloc
+/// rounds up to a size class and maps a fresh zeroed host block plus its
+/// tracking record, a foreign free validates the block and queues it for
+/// the owner core, and the owner's drain validates and unmaps it — two
+/// host allocations per round trip that the slab magazines recycle away.
+class MapPerBlockHeap {
+ public:
+  PhysAddr kmalloc(std::uint64_t size, int cpu) {
+    const auto* cls = std::lower_bound(KernelHeap::kSizeClasses.begin(),
+                                       KernelHeap::kSizeClasses.end(), size);
+    const std::uint64_t capacity = cls != KernelHeap::kSizeClasses.end() ? *cls : size;
+    Block block{std::make_unique<std::uint8_t[]>(capacity), size, cpu, false};
+    std::memset(block.bytes.get(), 0, capacity);
+    const PhysAddr addr = next_;
+    next_ += capacity;
+    bytes_live_ += size;
+    blocks_.emplace(addr, std::move(block));
+    return addr;
+  }
+  void kfree_remote(PhysAddr addr) {
+    auto it = blocks_.find(addr);
+    if (it == blocks_.end() || it->second.queued) std::abort();  // double free
+    it->second.queued = true;
+    remote_[it->second.owner_cpu].push_back(addr);
+  }
+  void drain_remote_frees(int cpu) {
+    auto queue = remote_.find(cpu);
+    if (queue == remote_.end()) return;
+    for (const PhysAddr addr : queue->second) {
+      auto it = blocks_.find(addr);
+      if (it == blocks_.end() || !it->second.queued) continue;
+      bytes_live_ -= it->second.size;
+      blocks_.erase(addr);
+    }
+    queue->second.clear();  // the deque keeps its chunk
+  }
+
+ private:
+  struct Block {
+    std::unique_ptr<std::uint8_t[]> bytes;
+    std::uint64_t size;
+    int owner_cpu;
+    bool queued;
+  };
+  PhysAddr next_ = 0x0000'00F0'0000'0000ull;
+  std::uint64_t bytes_live_ = 0;
+  std::unordered_map<PhysAddr, Block> blocks_;
+  std::map<int, std::deque<PhysAddr>> remote_;  // per owner core
+};
+
 /// One send's host-side work, baseline flavour: allocating walk, fresh
 /// descriptor vector, map-per-block completion metadata.
-std::uint64_t baseline_op(const AddressSpace& as, VirtAddr va, KernelHeap& heap) {
+std::uint64_t baseline_op(const AddressSpace& as, VirtAddr va, MapPerBlockHeap& heap,
+                          std::uint64_t& walks) {
   auto extents = as.physical_extents(va, kBufBytes, kDescCap);
   if (!extents.ok()) std::abort();
+  ++walks;
   std::vector<Descriptor> descs;
   for (const auto& e : *extents)
     descs.push_back({e.pa, static_cast<std::uint32_t>(e.len)});
-  auto meta = heap.kmalloc(192, kLwkCpu);
-  if (!meta.ok()) std::abort();
-  if (!heap.kfree(*meta, kLinuxCpu).ok()) std::abort();  // completion IRQ side
-  (void)heap.drain_remote_frees(kLwkCpu);                // next scheduler tick
+  const PhysAddr meta = heap.kmalloc(192, kLwkCpu);
+  heap.kfree_remote(meta);              // completion IRQ side
+  heap.drain_remote_frees(kLwkCpu);     // next scheduler tick
   return descs.size();
 }
 
@@ -100,13 +169,13 @@ std::uint64_t cached_op(const AddressSpace& as, VirtAddr va, ExtentCache& cache,
   return descs.size();
 }
 
-/// Mixed-lifetime workload (the thrash case PR 1's cache collapsed on): one
-/// persistent MPI window re-sent every iteration while small transient
-/// buffers churn through mmap → send → munmap around it. "Precise" is the
-/// current design (unmap-interval log + size-aware eviction); "coarse"
-/// emulates the PR-1 cache (log capacity 0 → every munmap invalidates the
-/// whole space; pure LRU). The figure of merit is the persistent window's
-/// hit rate — precise must keep it, coarse collapses it to ~0.
+/// Mixed-lifetime workload: one persistent MPI window re-sent every
+/// iteration while small transient buffers churn through mmap → send →
+/// munmap around it. "Precise" is the current design (the unmap-interval
+/// log proves the window untouched); "coarse" turns the log off (capacity
+/// 0 → every munmap invalidates the whole space). The figure of merit is
+/// the persistent window's hit rate — precise must keep it, coarse
+/// collapses it to ~0.
 struct MixedResult {
   double window_hit_rate = 0;
   double ops_per_sec = 0;  // full iterations (1 window send + churn) per sec
@@ -123,8 +192,7 @@ MixedResult run_mixed(bool precise, std::uint64_t iters) {
   PhysMap phys = PhysMap::knl(512ull << 20, 1ull << 30, 2);
   AddressSpace as(phys, BackingPolicy::lwk_contig, MemKind::mcdram, 0x2000'0000ull, 43);
   as.set_unmap_log_capacity(precise ? AddressSpace::kDefaultUnmapLogCapacity : 0);
-  ExtentCache cache(8, precise ? ExtentCache::EvictionPolicy::size_aware
-                               : ExtentCache::EvictionPolicy::lru);
+  ExtentCache cache(8);
 
   auto win = as.mmap_anonymous(kBufBytes, kProtRead | kProtWrite);
   if (!win.ok()) std::abort();
@@ -293,18 +361,30 @@ int main() {
   auto va = as.mmap_anonymous(kBufBytes, kProtRead | kProtWrite);
   if (!va.ok()) return 1;
 
-  // Baseline: the pre-slab map-per-block heap (slab magazines disabled).
+  // Baseline: the pre-slab map-per-block heap stand-in.
   // Optimized: extent cache + arena descriptor buffer + slab heap.
-  KernelHeap old_heap({kLwkCpu}, ForeignFreePolicy::remote_queue,
-                      0x0000'00F0'0000'0000ull, /*slab_enabled=*/false);
+  MapPerBlockHeap old_heap;
   KernelHeap slab_heap({kLwkCpu}, ForeignFreePolicy::remote_queue);
   ExtentCache cache;
   std::vector<Descriptor> arena;
   constexpr int kRounds = 20;
   PipelineResult base, fast;
+  std::uint64_t base_ops = 0, base_walks = 0;
   const double speedup = run_interleaved(
-      warmup, iters, kRounds, [&] { return baseline_op(as, *va, old_heap); },
+      warmup, iters, kRounds,
+      [&] {
+        ++base_ops;
+        return baseline_op(as, *va, old_heap, base_walks);
+      },
       [&] { return cached_op(as, *va, cache, arena, slab_heap); }, base, fast);
+  // Page-table walks per send over every op each pipeline ran (warmup
+  // included): deterministic, unlike the timed ratio. A cached lookup walks
+  // only on a miss or an invalidation.
+  const double base_walks_per_op =
+      static_cast<double>(base_walks) / static_cast<double>(base_ops);
+  const ExtentCache::Stats& cs = cache.stats();
+  const double fast_walks_per_op = static_cast<double>(cs.misses + cs.invalidations()) /
+                                   static_cast<double>(cs.hits + cs.misses + cs.invalidations());
 
   // Sanity: the cached extents must match a fresh walk bit for bit.
   auto truth = as.physical_extents(*va, kBufBytes, kDescCap);
@@ -324,24 +404,17 @@ int main() {
   NumaResult numa = run_numa(/*numa_aware=*/true, numa_iters);
 
   // IKC transport: the paper's 64-ranks-on-4-service-CPUs squeeze through
-  // the legacy direct path vs the batched ring transport (simulated time).
+  // the legacy direct path vs the batched ring transport with shared-memory
+  // reply rings and adaptive batching (simulated time).
   const int ikc_per_rank = quick_mode() ? 24 : 96;
   pd::os::Config ikc_cfg;
   ikc_cfg.ikc_mode = pd::os::IkcMode::direct;
   const auto ikc_legacy =
       pd::bench::run_offload_storm(ikc_cfg, 64, ikc_per_rank, pd::from_us(3), pd::from_us(20));
-  // PR-4 ring shape: batched request rings, but every completion still pays
-  // its own latch wakeup. This is the baseline the reply ring must beat.
   ikc_cfg.ikc_mode = pd::os::IkcMode::ring;
-  ikc_cfg.ikc_reply_mode = pd::os::ReplyMode::latch;
   const auto ikc_ring =
       pd::bench::run_offload_storm(ikc_cfg, 64, ikc_per_rank, pd::from_us(3), pd::from_us(20));
-  // §8.4: shared-memory reply rings + adaptive batching (the defaults).
-  ikc_cfg.ikc_reply_mode = pd::os::ReplyMode::ring;
-  const auto ikc_reply =
-      pd::bench::run_offload_storm(ikc_cfg, 64, ikc_per_rank, pd::from_us(3), pd::from_us(20));
-  const double wakeups_saved =
-      ikc_ring.wakeups_per_offload - ikc_reply.wakeups_per_offload;
+  const double wakeups_saved = kLatchWakeupsPerOffload - ikc_ring.wakeups_per_offload;
 
   // Multi-tenant overload ladder (§8.6): 1 → 4096 tenants sharing the same
   // 4 service CPUs, each tenant submitting from its own ring. Half the
@@ -399,18 +472,6 @@ int main() {
     rungs.push_back(
         {jobs, pd::bench::run_fairness_storm(qcfg, mixed_specs(jobs), rung_horizon(jobs))});
   }
-  // Reference: the PR-4 strict class/channel drain on the same 64-tenant
-  // skewed workload — per-ring FIFO hands offload-heavy tenants their full
-  // 4:1 offered share, which is the unfairness the vtime scheduler removes.
-  pd::os::Config strict_cfg;
-  strict_cfg.ikc_mode = pd::os::IkcMode::ring;
-  strict_cfg.ikc_channels = 64;
-  strict_cfg.ikc_numa_pin = false;
-  strict_cfg.ikc_deadline = pd::from_ms(500.0);
-  strict_cfg.ikc_fair_drain = false;
-  const auto strict64 =
-      pd::bench::run_fairness_storm(strict_cfg, mixed_specs(64), rung_horizon(64));
-
   // Misbehaving tenant: job 0 floods its channel with 12 saturating streams
   // while 15 victims run the normal profile. In-flight credits (2/job)
   // throttle the flooder with EAGAIN; the fair drain keeps the victims' tail
@@ -474,6 +535,8 @@ int main() {
               base.allocs_per_op);
   std::printf("  optimized: %12.0f ops/s, %5.2f heap allocs/op\n", fast.ops_per_sec,
               fast.allocs_per_op);
+  std::printf("  walks/op : baseline %.3f, optimized %.3f page-table walks per send\n",
+              base_walks_per_op, fast_walks_per_op);
   std::printf("  speedup  : %.1fx median of %d interleaved rounds  (cache: %llu hits / "
               "%llu misses; heap: %llu slab reuses, %llu host allocs)\n",
               speedup, kRounds, static_cast<unsigned long long>(cache.stats().hits),
@@ -482,12 +545,12 @@ int main() {
               static_cast<unsigned long long>(slab_heap.stats().host_allocs));
   std::printf("  mixed-lifetime (persistent window + %llu iters of transient churn):\n",
               static_cast<unsigned long long>(mixed_iters));
-  std::printf("    coarse (PR-1: whole-space invalidation, LRU): %5.1f%% window hits, "
+  std::printf("    coarse (unmap log off: whole-space invalidation): %5.1f%% window hits, "
               "%llu overflow invalidations, %llu evictions\n",
               100.0 * coarse.window_hit_rate,
               static_cast<unsigned long long>(coarse.generation_overflows),
               static_cast<unsigned long long>(coarse.evictions));
-  std::printf("    precise (unmap log + size-aware eviction):    %5.1f%% window hits, "
+  std::printf("    precise (range-precise unmap log):                %5.1f%% window hits, "
               "%llu range invalidations, %llu evictions\n",
               100.0 * precise.window_hit_rate,
               static_cast<unsigned long long>(precise.range_invalidations),
@@ -512,20 +575,17 @@ int main() {
               static_cast<unsigned long long>(ikc_ring.degraded),
               static_cast<unsigned long long>(ikc_ring.timeouts));
   std::printf("  ikc reply ring (same squeeze, wakeups per offload round trip):\n");
-  std::printf("    latch replies  : %5.2f wakeups/op (%llu doorbells + %llu reply), "
-              "queue p95 %8.1f us\n",
+  std::printf("    latch replies  : %5.2f wakeups/op, queue p95 %8.1f us "
+              "(reference, measured at b28b557)\n",
+              kLatchWakeupsPerOffload, latch_queue_p95_us());
+  std::printf("    reply rings    : %5.2f wakeups/op (%llu doorbells + %llu reply), "
+              "queue p95 %8.1f us (adaptive grow %llu / shrink %llu)\n",
               ikc_ring.wakeups_per_offload,
               static_cast<unsigned long long>(ikc_ring.doorbells),
               static_cast<unsigned long long>(ikc_ring.reply_wakeups),
-              ikc_ring.queue.p95_us);
-  std::printf("    reply rings    : %5.2f wakeups/op (%llu doorbells + %llu reply), "
-              "queue p95 %8.1f us (adaptive grow %llu / shrink %llu)\n",
-              ikc_reply.wakeups_per_offload,
-              static_cast<unsigned long long>(ikc_reply.doorbells),
-              static_cast<unsigned long long>(ikc_reply.reply_wakeups),
-              ikc_reply.queue.p95_us,
-              static_cast<unsigned long long>(ikc_reply.adaptive_grow),
-              static_cast<unsigned long long>(ikc_reply.adaptive_shrink));
+              ikc_ring.queue.p95_us,
+              static_cast<unsigned long long>(ikc_ring.adaptive_grow),
+              static_cast<unsigned long long>(ikc_ring.adaptive_shrink));
   std::printf("    saved          : %5.2f wakeups per offload round trip\n", wakeups_saved);
   std::printf("  overload ladder (mixed 4:1 offered-load skew, weighted-fair drain):\n");
   for (const auto& rung : rungs) {
@@ -604,8 +664,9 @@ int main() {
       }
     }
   }
-  std::printf("    64-job strict-drain reference: jain %.4f (fair: see ladder)\n",
-              strict64.jain);
+  std::printf("    64-job strict-drain reference: jain %.4f (measured at b28b557; "
+              "fair: see ladder)\n",
+              strict_drain_jain64());
   std::printf("  misbehaving tenant (12-stream flooder vs 15 victims, 2 credits/job):\n");
   std::printf("    victim worst p95: %8.1f us with flooder vs %8.1f us without "
               "(ratio %.2f)\n",
@@ -639,8 +700,10 @@ int main() {
                "{\n"
                "  \"workload\": {\"buffer_bytes\": %llu, \"max_extent_bytes\": %llu, "
                "\"iterations\": %llu, \"quick_mode\": %s},\n"
-               "  \"baseline\": {\"ops_per_sec\": %.0f, \"heap_allocs_per_op\": %.3f},\n"
-               "  \"optimized\": {\"ops_per_sec\": %.0f, \"heap_allocs_per_op\": %.3f},\n"
+               "  \"baseline\": {\"ops_per_sec\": %.0f, \"heap_allocs_per_op\": %.3f, "
+               "\"page_walks_per_op\": %.3f},\n"
+               "  \"optimized\": {\"ops_per_sec\": %.0f, \"heap_allocs_per_op\": %.3f, "
+               "\"page_walks_per_op\": %.3f},\n"
                "  \"speedup\": %.2f,\n"
                "  \"extent_cache\": {\"hits\": %llu, \"misses\": %llu, "
                "\"range_invalidations\": %llu, \"generation_overflows\": %llu, "
@@ -671,8 +734,6 @@ int main() {
                "  },\n"
                "  \"reply_ring\": {\n"
                "    \"ranks\": 64, \"service_cpus\": 4, \"offloads_per_rank\": %d,\n"
-               "    \"latch\": {\"wakeups_per_offload\": %.3f, \"doorbells\": %llu, "
-               "\"reply_wakeups\": %llu, \"queue_p95_us\": %.1f},\n"
                "    \"ring\": {\"wakeups_per_offload\": %.3f, \"doorbells\": %llu, "
                "\"reply_wakeups\": %llu, \"queue_p95_us\": %.1f, "
                "\"adaptive_grow\": %llu, \"adaptive_shrink\": %llu, "
@@ -682,8 +743,9 @@ int main() {
                static_cast<unsigned long long>(kBufBytes),
                static_cast<unsigned long long>(kDescCap),
                static_cast<unsigned long long>(iters), quick_mode() ? "true" : "false",
-               base.ops_per_sec, base.allocs_per_op, fast.ops_per_sec, fast.allocs_per_op,
-               speedup, static_cast<unsigned long long>(cache.stats().hits),
+               base.ops_per_sec, base.allocs_per_op, base_walks_per_op, fast.ops_per_sec,
+               fast.allocs_per_op, fast_walks_per_op, speedup,
+               static_cast<unsigned long long>(cache.stats().hits),
                static_cast<unsigned long long>(cache.stats().misses),
                static_cast<unsigned long long>(cache.stats().range_invalidations),
                static_cast<unsigned long long>(cache.stats().generation_overflows),
@@ -712,13 +774,10 @@ int main() {
                ikc_ring.wakeups_per_offload,
                static_cast<unsigned long long>(ikc_ring.doorbells),
                static_cast<unsigned long long>(ikc_ring.reply_wakeups),
-               ikc_ring.queue.p95_us, ikc_reply.wakeups_per_offload,
-               static_cast<unsigned long long>(ikc_reply.doorbells),
-               static_cast<unsigned long long>(ikc_reply.reply_wakeups),
-               ikc_reply.queue.p95_us,
-               static_cast<unsigned long long>(ikc_reply.adaptive_grow),
-               static_cast<unsigned long long>(ikc_reply.adaptive_shrink),
-               static_cast<unsigned long long>(ikc_reply.remote_drains), wakeups_saved);
+               ikc_ring.queue.p95_us,
+               static_cast<unsigned long long>(ikc_ring.adaptive_grow),
+               static_cast<unsigned long long>(ikc_ring.adaptive_shrink),
+               static_cast<unsigned long long>(ikc_ring.remote_drains), wakeups_saved);
   std::fprintf(json, "  \"overload\": {\n    \"service_cpus\": 4,\n");
   for (const auto& rung : rungs) {
     double worst_p50 = 0, worst_p95 = 0, worst_max = 0;
@@ -740,13 +799,12 @@ int main() {
                  worst_max, rung.r.window_ms);
   }
   std::fprintf(json,
-               "    \"n64_strict\": {\"jain\": %.4f},\n"
                "    \"flood\": {\"victim_p95_us\": %.1f, \"baseline_p95_us\": %.1f, "
                "\"victim_p95_ratio\": %.3f, \"victim_jain\": %.4f, "
                "\"flooder_completed\": %llu, \"flooder_eagain\": %llu, "
                "\"flooder_credit_waits\": %llu}\n"
                "  },\n",
-               strict64.jain, flood_victim_p95, base_victim_p95, victim_p95_ratio,
+               flood_victim_p95, base_victim_p95, victim_p95_ratio,
                victim_jain(flood_run),
                static_cast<unsigned long long>(flooder.completed),
                static_cast<unsigned long long>(flooder.eagain),
@@ -790,9 +848,9 @@ int main() {
     std::printf("  FAIL: optimized pipeline still allocates\n");
     return 1;
   }
-  // Mixed-lifetime acceptance: range-precise invalidation + size-aware
-  // eviction must keep the persistent window hot through transient churn;
-  // the PR-1 emulation must show the collapse this PR fixes.
+  // Mixed-lifetime acceptance: range-precise invalidation must keep the
+  // persistent window hot through transient churn; whole-space
+  // invalidation must show the collapse it fixes.
   if (precise.window_hit_rate < 0.9) {
     std::printf("  FAIL: precise config lost the persistent window (%.1f%% hits)\n",
                 100.0 * precise.window_hit_rate);
@@ -828,18 +886,17 @@ int main() {
   }
   // Reply-ring acceptance (§8.4): the shared-memory reply path must shed
   // (essentially) the whole per-request completion wakeup — one fewer
-  // cross-kernel wakeup per offload round trip than the latch shape — with
-  // tail queueing no worse.
+  // cross-kernel wakeup per offload round trip than the latch reference —
+  // with tail queueing no worse.
   if (wakeups_saved < 0.9) {
     std::printf("  FAIL: reply ring saved only %.2f wakeups/offload vs latch "
                 "(%.2f -> %.2f)\n",
-                wakeups_saved, ikc_ring.wakeups_per_offload,
-                ikc_reply.wakeups_per_offload);
+                wakeups_saved, kLatchWakeupsPerOffload, ikc_ring.wakeups_per_offload);
     return 1;
   }
-  if (ikc_reply.queue.p95_us > ikc_ring.queue.p95_us * 1.02) {
+  if (ikc_ring.queue.p95_us > latch_queue_p95_us() * 1.02) {
     std::printf("  FAIL: reply ring p95 queueing %.1f us worse than latch %.1f us\n",
-                ikc_reply.queue.p95_us, ikc_ring.queue.p95_us);
+                ikc_ring.queue.p95_us, latch_queue_p95_us());
     return 1;
   }
   // Multi-tenant acceptance (§8.6): the 1024-tenant equal-weight rung must

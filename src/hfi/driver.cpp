@@ -334,7 +334,7 @@ sim::Task<Result<mem::PhysAddr>> HfiDriver::mmap(os::OpenFile& f, std::uint64_t 
   (void)f;
   const auto& hw_cfg = device_.config();
   if (offset + len > hw_cfg.csr_size) co_return Errno::einval;
-  co_await linux_.engine().delay(linux_.config().driver_mmap_cost);
+  co_await linux_.engine().delay(os::cost::driver_mmap_cost);
   co_return hw_cfg.csr_base + offset;
 }
 

@@ -362,9 +362,9 @@ sim::Task<Result<long>> IkcTransport::direct_offload(Service service, JobId job_
                           : 0.0;
   const Dur wakeup =
       cfg_.proxy_wakeup_hot +
-      static_cast<Dur>(load * static_cast<double>(cfg_.proxy_wakeup_cold -
+      static_cast<Dur>(load * static_cast<double>(os::cost::proxy_wakeup_cold -
                                                   cfg_.proxy_wakeup_hot));
-  const Dur thrash = static_cast<Dur>(waiters) * cfg_.sched_thrash_per_waiter;
+  const Dur thrash = static_cast<Dur>(waiters) * os::cost::sched_thrash_per_waiter;
   // Wakeup accounting, mirroring the ring path's ikc.ring.doorbell /
   // ikc.reply.wakeup counters so Fig. 8/9 can show the per-offload wakeup
   // split between transports: the direct path pays one proxy wakeup on
@@ -515,15 +515,11 @@ sim::Task<Result<long>> IkcTransport::ring_offload(Service service, Priority pri
     engine_.schedule_after(cfg_.ikc_deadline, [req] {
       if (req->state == Request::State::queued) {
         req->state = Request::State::timed_out;
-        req->done.trigger();
         req->wake.send(kWakeDeadline);
       }
     });
 
-    if (cfg_.ikc_reply_mode == os::ReplyMode::ring)
-      co_await await_reply(req, ch);
-    else
-      co_await req->done.wait();
+    co_await await_reply(req, ch);
     if (req->state == Request::State::abandoned) {
       // The consumer was killed mid-offload (fault injection); the service
       // side drops our completion, we report the interruption.
@@ -572,7 +568,7 @@ sim::Task<> IkcTransport::await_reply(RequestPtr req, int channel) {
       co_return;
     }
     if (engine_.now() >= poll_until) break;
-    co_await engine_.delay(cfg_.ikc_reply_poll_interval);
+    co_await engine_.delay(os::cost::ikc_reply_poll_interval);
   }
   // Park phase: one completion IPI per drained batch wakes every parked
   // consumer of the channel; the self-drain watchdog bounds how long a
@@ -602,18 +598,10 @@ sim::Task<> IkcTransport::deliver_reply(const RequestPtr& req, int channel,
     prof_.bump("ikc.reply.consumer_dead");
     co_return;
   }
-  if (cfg_.ikc_reply_mode == os::ReplyMode::latch) {
-    // PR-4 shape: every completion is its own cross-kernel wakeup.
-    co_await engine_.delay(cfg_.ikc_reply_wakeup_cost);
-    prof_.bump("ikc.reply.wakeup");
-    req->state = Request::State::done;
-    req->done.trigger();
-    co_return;
-  }
   // Reply ring: write the completion into the request slot (visible to the
   // polling consumer immediately) and post a notification entry; parked
   // consumers are woken once per channel after the whole batch.
-  co_await engine_.delay(cfg_.ikc_reply_post_cost);
+  co_await engine_.delay(os::cost::ikc_reply_post_cost);
   Channel& ch = *channels_[static_cast<std::size_t>(channel)];
   req->state = Request::State::done;
   prof_.bump("ikc.reply.post");
@@ -662,58 +650,6 @@ sim::Task<> IkcTransport::collect_batch(int loop, std::vector<RequestPtr>& out) 
   if (avail > 0) observe_depth(lp, avail);
   const auto batch_max = static_cast<std::size_t>(
       cfg_.ikc_adaptive_batch ? lp.batch_limit : std::max(cfg_.ikc_batch, 1));
-  if (cfg_.ikc_fair_drain)
-    co_await collect_batch_fair(loop, out, batch_max);
-  else
-    co_await collect_batch_strict(loop, out, batch_max);
-}
-
-sim::Task<> IkcTransport::collect_batch_strict(int loop, std::vector<RequestPtr>& out,
-                                               std::size_t batch_max) {
-  Loop& lp = *loops_[static_cast<std::size_t>(loop)];
-  // Iterate a snapshot: a repartition during one of the awaits below
-  // re-shards `lp.channels` in place, and the live vector must not be
-  // walked across its own reassignment. Claims stay safe either way —
-  // head pops happen under the ring lock with a state re-check, so a
-  // channel that changed owners mid-collect can lose requests to its new
-  // loop but never double-execute one.
-  const std::vector<int> chans = lp.channels;
-  // Control class across all of this loop's channels first, then bulk —
-  // a TID-registration ioctl never waits behind queued bulk writevs.
-  for (int prio = 0; prio < 2 && out.size() < batch_max; ++prio) {
-    for (int ch : chans) {
-      if (out.size() >= batch_max) break;
-      Channel& channel = *channels_[static_cast<std::size_t>(ch)];
-      auto& ring = channel.rings[prio];
-      if (ring.empty()) continue;
-      if (channel.home_socket == lp.socket) {
-        prof_.bump("ikc.numa.local_drain");
-      } else {
-        // Pulling another quadrant's ring lines across the mesh.
-        prof_.bump("ikc.numa.remote_drain");
-        co_await engine_.delay(cfg_.ikc_remote_drain_cost);
-      }
-      co_await channel.lock.acquire();
-      while (out.size() < batch_max) {
-        auto req = ring.pop();
-        if (!req.has_value()) break;
-        if ((*req)->state != Request::State::queued) {
-          prof_.bump((*req)->state == Request::State::abandoned
-                         ? "ikc.ring.dead_skip"    // consumer killed while queued
-                         : "ikc.ring.stale_skip");  // timed out while queued here
-          continue;
-        }
-        (*req)->state = Request::State::claimed;
-        out.push_back(std::move(*req));
-      }
-      channel.lock.release();
-    }
-  }
-}
-
-sim::Task<> IkcTransport::collect_batch_fair(int loop, std::vector<RequestPtr>& out,
-                                             std::size_t batch_max) {
-  Loop& lp = *loops_[static_cast<std::size_t>(loop)];
   // Weighted-fair claim: repeatedly pick, among the *heads* of this loop's
   // rings, the request whose job has the smallest virtual time, and pop
   // exactly that head. Head-only claiming keeps per-channel-per-class FIFO
@@ -736,18 +672,17 @@ sim::Task<> IkcTransport::collect_batch_fair(int loop, std::vector<RequestPtr>& 
   //     lowest channel index forever (at hundreds of channels per loop, an
   //     index tie-break turns into persistent low-channel favoritism).
   // A single-job workload ties everywhere, so it claims control-first then
-  // FIFO, visits the same rings, and pays the same costs as the strict
-  // drain — the degenerate case the equivalence property pins. One benign
-  // asymmetry: the per-claim re-scan sees a control request that arrives
-  // *during* this batch's lock/remote-cost awaits and claims it now, where
-  // the strict drain's control pass is already over and parks it for a
-  // batch — FIFO and completion sets are unchanged, control latency wins.
+  // FIFO — the degenerate case the fairness property pins. The per-claim
+  // re-scan also sees a control request that arrives *during* this batch's
+  // lock/remote-cost awaits and claims it in this batch.
   //
   // Cost model: the lock hand-off and the remote-socket surcharge are paid
-  // on the first touch of each (channel, class) ring per batch — the same
-  // once-per-visited-ring accounting as the strict drain.
-  // Snapshot for the same reason as the strict drain: the touch awaits can
-  // interleave with a repartition's re-shard of `lp.channels`.
+  // on the first touch of each (channel, class) ring per batch.
+  // Iterate a snapshot: a repartition during one of the touch awaits
+  // re-shards `lp.channels` in place, and the live vector must not be
+  // walked across its own reassignment. A channel that changed owners
+  // mid-collect can lose requests to its new loop but never double-execute
+  // one (every pop re-checks the head's state).
   const std::vector<int> chans = lp.channels;
   auto touched = std::vector<std::array<bool, 2>>(chans.size(), {false, false});
   auto touch = [&](std::size_t idx, int prio) -> sim::Task<> {
@@ -807,7 +742,7 @@ sim::Task<> IkcTransport::collect_batch_fair(int loop, std::vector<RequestPtr>& 
     // another ring) or been abandoned by consumer death in that window, and
     // a concurrent drain may even have emptied the ring. Claiming blindly
     // would overwrite the settled state and execute the service twice, so
-    // re-check before claiming — mirroring collect_batch_strict.
+    // re-check before claiming.
     if (!req.has_value()) continue;
     if ((*req)->state != Request::State::queued) {
       prof_.bump((*req)->state == Request::State::abandoned ? "ikc.ring.dead_skip"
@@ -844,8 +779,8 @@ sim::Task<> IkcTransport::service_loop(int loop) {
       // likely, then park on the doorbell so an idle engine can drain.
       bool found = false;
       for (int spin = 0;
-           spin < cfg_.ikc_poll_spins && !lp.stall_injected && !lp.retiring; ++spin) {
-        co_await engine_.delay(cfg_.ikc_poll_interval);
+           spin < os::cost::ikc_poll_spins && !lp.stall_injected && !lp.retiring; ++spin) {
+        co_await engine_.delay(os::cost::ikc_poll_interval);
         if (has_work(loop)) {
           prof_.bump("ikc.ring.poll_hit");
           found = true;
@@ -921,7 +856,6 @@ void IkcTransport::inject_consumer_death(int channel) {
   for (auto& weak : ch.inflight) {
     if (auto req = weak.lock(); req != nullptr && !settled(*req)) {
       req->state = Request::State::abandoned;
-      req->done.trigger();
       req->wake.send(kWakeDeath);
     }
   }

@@ -17,15 +17,14 @@
 //            Each channel carries two priority classes so fast-path control
 //            calls (TID-registration ioctls) are not stuck behind bulk I/O.
 //
-// Ring mode v2 (§8.4) adds three mechanisms on top of the PR-4 transport:
+// Ring mode v2 (§8.4) adds three mechanisms on top of the request rings:
 //
 //   reply rings — completions return through a per-channel shared-memory
-//       reply ring instead of a per-request latch wakeup. The offloading
+//       reply ring instead of a per-request wakeup. The offloading
 //       coroutine polls its reply slot (the LWK core is dedicated to the
 //       blocked rank, so polling is free) and only parks after
 //       `ikc_reply_poll_budget`; a parked channel costs at most one
 //       completion IPI per drained batch instead of one per request.
-//       `ikc_reply_mode` selects `latch` (the PR-4 shape) or `ring`.
 //   adaptive batching — each service loop sizes its next drain from an
 //       EWMA of the depths it observed at drain time, clamped to
 //       [1, ikc_ring_depth], instead of the static `ikc_batch`.
@@ -41,9 +40,8 @@
 // 1/weight per claim, control beats bulk within a vtime tie, and equal
 // ties serve the oldest head first — so N jobs sharing a loop split its
 // capacity by weight while per-channel FIFO order is preserved; a single
-// job degenerates to the PR-4 strict two-class drain exactly
-// (`ikc_fair_drain` = false keeps that scheduler as the reference the
-// property harness compares against). Admission control bounds each job's
+// job degenerates to a two-class drain (control before bulk, FIFO within
+// each class). Admission control bounds each job's
 // in-flight offloads to `ikc_job_credits × weight` credits: an exhausted
 // job backs off and retries, then fails with EAGAIN (`ikc.job.eagain`)
 // instead of queueing without bound — a flooding tenant throttles itself
@@ -265,7 +263,7 @@ class IkcTransport {
 
  private:
   struct Request {
-    explicit Request(sim::Engine& engine) : done(engine), wake(engine) {}
+    explicit Request(sim::Engine& engine) : wake(engine) {}
     enum class State { queued, claimed, done, timed_out, abandoned };
     Service service;
     State state = State::queued;
@@ -273,8 +271,7 @@ class IkcTransport {
     Time enqueued_at = 0;
     int channel = -1;  // ring the request was accepted on (reply routing)
     JobId job = 0;           // tenant the fair drain schedules by
-    sim::Latch done;         // latch reply mode: one-shot completion
-    sim::Channel<int> wake;  // ring reply mode: doorbell / watchdog pokes
+    sim::Channel<int> wake;  // doorbell / watchdog / consumer-death pokes
   };
   using RequestPtr = std::shared_ptr<Request>;
 
@@ -330,24 +327,16 @@ class IkcTransport {
   sim::Task<bool> admit(JobId job);
   sim::Task<> service_loop(int loop);
   /// Pop up to the loop's current drain limit of claimable requests from
-  /// its channels, control class strictly first. Inside a class the claim
-  /// order is weighted-fair across jobs (per-job virtual time, head-only so
-  /// per-channel FIFO is preserved); with `ikc_fair_drain` off it is the
-  /// PR-4 strict order (each channel drained fully, in channel order).
-  /// Either way the ring-lock cost (plus the remote-socket surcharge) is
-  /// paid once per non-empty (channel, class) ring visited.
+  /// its channels, weighted-fair across jobs: ring heads are claimed in
+  /// (per-job virtual time, class, age) order, head-only so per-channel
+  /// FIFO is preserved. The ring-lock cost (plus the remote-socket
+  /// surcharge) is paid once per non-empty (channel, class) ring visited.
   sim::Task<> collect_batch(int loop, std::vector<RequestPtr>& out);
-  /// The PR-4 reference drain, kept verbatim for the fairness equivalence
-  /// harness (ikc_fair_drain = false).
-  sim::Task<> collect_batch_strict(int loop, std::vector<RequestPtr>& out,
-                                   std::size_t batch_max);
-  sim::Task<> collect_batch_fair(int loop, std::vector<RequestPtr>& out,
-                                 std::size_t batch_max);
-  /// Deliver one completed service result back to the submitter, by the
-  /// configured reply mode; reply-ring touches are recorded in `touched`
+  /// Deliver one completed service result back to the submitter through
+  /// its channel's reply ring; reply-ring touches are recorded in `touched`
   /// so the post-batch doorbell pass can wake parked channels once each.
   sim::Task<> deliver_reply(const RequestPtr& req, int channel, std::vector<int>& touched);
-  /// Wait (reply-ring mode) until `req` settles: poll the reply slot for
+  /// Wait until `req` settles: poll the reply slot for
   /// `ikc_reply_poll_budget`, then park on the doorbell with the
   /// self-drain watchdog armed.
   sim::Task<> await_reply(RequestPtr req, int channel);
@@ -410,8 +399,8 @@ class IkcTransport {
   /// time: claiming one request advances it by 1/weight, and a job waking
   /// from idle rejoins at the scheduler's current floor instead of burning
   /// a backlog of "unused" past share as a burst. Jobs clamped up to the
-  /// floor tie; the tie is served oldest-head-first (see
-  /// collect_batch_fair), which re-encodes the deficit the clamp erased.
+  /// floor tie; the tie is served oldest-head-first (see collect_batch),
+  /// which re-encodes the deficit the clamp erased.
   struct JobState {
     JobStats stats;
     double vtime = 0.0;

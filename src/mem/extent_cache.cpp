@@ -24,9 +24,7 @@ ExtentCache::Entry* ExtentCache::select_victim() {
       best = &e;
       continue;
     }
-    const bool worse = policy_ == EvictionPolicy::lru ? e.last_used < best->last_used
-                                                      : score(e) < score(*best);
-    if (worse) best = &e;
+    if (score(e) < score(*best)) best = &e;
   }
   return best;
 }

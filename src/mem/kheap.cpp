@@ -16,20 +16,19 @@ constexpr std::uint64_t kPartitionStride = 1ull << 31;  // 2 GiB per slice
 }  // namespace
 
 KernelHeap::KernelHeap(std::vector<int> owned_cpus, ForeignFreePolicy policy,
-                       PhysAddr heap_base, bool slab_enabled)
+                       PhysAddr heap_base)
     : KernelHeap(std::move(owned_cpus), policy, NumaTopology(), PartitionBudget{},
-                 PlacementPolicy::flat, heap_base, slab_enabled) {}
+                 PlacementPolicy::flat, heap_base) {}
 
 KernelHeap::KernelHeap(std::vector<int> owned_cpus, ForeignFreePolicy policy,
                        NumaTopology topo, PartitionBudget budget, PlacementPolicy placement,
-                       PhysAddr heap_base, bool slab_enabled)
+                       PhysAddr heap_base)
     : owned_cpus_(std::move(owned_cpus)),
       policy_(policy),
       topo_(topo),
       budget_(budget),
       placement_(placement),
-      heap_base_(heap_base),
-      slab_enabled_(slab_enabled) {
+      heap_base_(heap_base) {
   for (int cpu : owned_cpus_) magazines_[cpu];  // one magazine set per core
   near_arenas_.resize(static_cast<std::size_t>(topo_.sockets()));
   far_arenas_.resize(static_cast<std::size_t>(topo_.sockets()));
@@ -114,7 +113,7 @@ Result<PhysAddr> KernelHeap::kmalloc(std::uint64_t size, int cpu) {
   if (!owns_cpu(cpu)) return Errno::eperm;
 
   const std::size_t cls = class_for(size);
-  if (slab_enabled_ && cls < kSizeClasses.size()) {
+  if (cls < kSizeClasses.size()) {
     auto& magazine = magazines_[cpu][cls];
     if (!magazine.empty()) {
       const PhysAddr addr = magazine.back();
@@ -154,7 +153,7 @@ Result<PhysAddr> KernelHeap::kmalloc(std::uint64_t size, int cpu) {
 
 void KernelHeap::park_on_magazine(PhysAddr addr, Block& block) {
   const std::size_t cls = class_for(block.capacity);
-  if (slab_enabled_ && cls < kSizeClasses.size() && owns_cpu(block.owner_cpu)) {
+  if (cls < kSizeClasses.size() && owns_cpu(block.owner_cpu)) {
     block.state = BlockState::parked;
     magazines_[block.owner_cpu][cls].push_back(addr);
     ++stats_.slab_recycles;

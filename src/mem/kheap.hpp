@@ -107,18 +107,16 @@ class KernelHeap {
 
   /// `owned_cpus`: logical CPU ids this kernel's allocator may run on.
   /// `heap_base`: simulated physical base of the heap arenas.
-  /// `slab_enabled`: turn the per-core magazines off to model the original
-  /// map-per-block allocator (used by the before/after bench).
   /// The flat-topology constructor keeps the pre-NUMA behaviour: one
   /// socket, unbounded partitions, placement-ignorant.
   KernelHeap(std::vector<int> owned_cpus, ForeignFreePolicy policy,
-             PhysAddr heap_base = 0x0000'00F0'0000'0000ull, bool slab_enabled = true);
+             PhysAddr heap_base = 0x0000'00F0'0000'0000ull);
 
   /// NUMA-aware form: `topo` maps every CPU on the node (owned and
   /// foreign) to a socket, `budget` bounds each socket's partitions.
   KernelHeap(std::vector<int> owned_cpus, ForeignFreePolicy policy, NumaTopology topo,
              PartitionBudget budget, PlacementPolicy placement,
-             PhysAddr heap_base = 0x0000'00F0'0000'0000ull, bool slab_enabled = true);
+             PhysAddr heap_base = 0x0000'00F0'0000'0000ull);
 
   /// Allocate `size` bytes on behalf of `cpu` (must be an owned CPU).
   /// Returns the simulated physical address of the block.
@@ -208,7 +206,6 @@ class KernelHeap {
   PartitionBudget budget_;
   PlacementPolicy placement_;
   PhysAddr heap_base_;
-  bool slab_enabled_;
   std::size_t live_blocks_ = 0;
   std::vector<Arena> near_arenas_;  // one per socket
   std::vector<Arena> far_arenas_;

@@ -1,10 +1,18 @@
 // Calibration constants for the simulated software stack.
 //
-// Every cost in the model is a named constant here, so the ablation benches
-// can sweep them and EXPERIMENTS.md can record exactly which knob produces
-// which paper effect. Defaults are chosen to land the *relative* results of
-// the paper (see DESIGN.md §5); they are not claims about absolute KNL
-// timings.
+// Every cost in the model is named in this file, so EXPERIMENTS.md can
+// record exactly which knob produces which paper effect. Two kinds:
+//
+//   * `Config` fields — knobs that a bench, a test or a sweep sets (the
+//     ablation benches, the multi-tenant and elastic storms, the
+//     validate() rules between them);
+//   * `cost::` constants — calibration nobody varies, read at one site
+//     each. They are `constexpr` so they cannot drift per node and cost
+//     no per-kernel storage; promote one to a field only together with
+//     the sweep that sets it.
+//
+// Defaults are chosen to land the *relative* results of the paper (see
+// DESIGN.md §5); they are not claims about absolute KNL timings.
 #pragma once
 
 #include <cstdint>
@@ -50,24 +58,44 @@ constexpr const char* to_string(IkcMode m) {
   return "?";
 }
 
-/// How a ring-mode completion travels back to the waiting LWK coroutine.
-/// `latch` is the PR-4 shape: the service loop delivers every completion
-/// with its own cross-kernel wakeup. `ring` posts completions into a
-/// per-channel shared-memory reply ring that the LWK core polls, so the
-/// return path needs no wakeup at all when the consumer is polling and at
-/// most one doorbell per drained batch when it parked.
-enum class ReplyMode {
-  latch,
-  ring,
-};
+/// Unswept calibration: fixed costs read at one site each (see the file
+/// header).
+namespace cost {
 
-constexpr const char* to_string(ReplyMode m) {
-  switch (m) {
-    case ReplyMode::latch: return "latch";
-    case ReplyMode::ring: return "ring";
-  }
-  return "?";
-}
+// --- syscall & offload costs ---------------------------------------------
+inline constexpr Dur proxy_wakeup_cold = from_us(8.0);    // schedule-in under full contention
+// Under contention every additional runnable proxy degrades service:
+// runqueue management, cache/TLB thrash, IPI storms. Charged per waiting
+// proxy at dispatch time; this is what turns "busy" into "collapsed"
+// (UMT2013, Fig. 6a).
+inline constexpr Dur sched_thrash_per_waiter = from_us(1.5);
+
+// --- IKC ring transport (src/ikc/, ring mode only) -------------------------
+inline constexpr Dur ikc_poll_interval = from_us(5);  // service-loop poll period
+inline constexpr int ikc_poll_spins = 4;              // polls before parking on doorbell
+
+// --- IKC reply path (ring mode only) ---------------------------------------
+inline constexpr Dur ikc_reply_post_cost = from_ns(80);      // write one completion slot
+inline constexpr Dur ikc_reply_poll_interval = from_us(1);   // LWK slot-poll period
+
+// --- driver fast-path work -------------------------------------------------
+inline constexpr Dur driver_mmap_cost = from_us(6);       // CSR/device mapping setup
+
+// --- PicoDriver-side costs -------------------------------------------------
+inline constexpr Dur pico_bind_cost = from_us(150);       // per-rank kernel-mapping setup
+
+// --- memory management -----------------------------------------------------
+inline constexpr Dur linux_mmap_per_page = from_ns(90);
+inline constexpr Dur lwk_mmap_per_page = from_ns(60);     // large pages amortize
+inline constexpr Dur linux_munmap_per_page = from_ns(70);
+inline constexpr Dur lwk_munmap_per_page = from_ns(210);  // the §4.3 shortcoming (Fig. 9)
+
+// --- PSM / protocol knobs --------------------------------------------------
+inline constexpr int expected_concurrency = 2;              // windows in flight per message
+inline constexpr Dur psm_progress_poll = from_ns(150);      // one progress-loop iteration
+inline constexpr Dur psm_wait_sleep = from_ns(400);         // kernel visit inside MPI_Wait
+
+}  // namespace cost
 
 struct Config {
   // --- node topology (OFP compute node, paper §4.1) ---------------------
@@ -85,17 +113,11 @@ struct Config {
   Dur offload_dispatch = from_ns(600);     // proxy-side demultiplex
   Dur proxy_min_service = from_ns(800);    // floor for any offloaded service
   Dur proxy_wakeup_hot = from_us(1.2);     // schedule-in, idle cache-hot proxy
-  Dur proxy_wakeup_cold = from_us(8.0);    // schedule-in under full contention
   // Driver work run by the proxy is slower than the same code run natively:
   // cross-CPU cache traffic, cold TLBs, and a loaded service core. The
   // paper's UMT/HACC collapse requires this factor; see the
   // bench_ablation_offload_* sweeps.
   double offload_service_multiplier = 4.0;
-  // Under contention every additional runnable proxy degrades service:
-  // runqueue management, cache/TLB thrash, IPI storms. Charged per waiting
-  // proxy at dispatch time; this is what turns "busy" into "collapsed"
-  // (UMT2013, Fig. 6a).
-  Dur sched_thrash_per_waiter = from_us(1.5);
   int sched_thrash_cap_waiters = 20;  // degradation saturates beyond this
 
   // --- IKC ring transport (src/ikc/, ring mode only) ----------------------
@@ -106,19 +128,14 @@ struct Config {
   Dur ikc_deadline = from_ms(10);      // ring-residency watchdog
   int ikc_max_retries = 2;             // rings tried after a timeout
   Dur ikc_retry_backoff = from_us(2);  // scaled by the attempt number
-  Dur ikc_poll_interval = from_us(5);  // service-loop poll period
-  int ikc_poll_spins = 4;              // polls before parking on doorbell
   int ikc_stall_threshold = 3;         // consecutive timeouts → suspect loop
   int ikc_probe_interval = 16;         // every Nth submit probes a suspect
   Dur ikc_doorbell_cost = from_ns(200);  // cross-kernel IPI to wake a loop
   Dur ikc_lock_cost = from_ns(60);       // ring spin-lock hand-off
 
   // --- IKC reply path (ring mode only) ------------------------------------
-  ReplyMode ikc_reply_mode = ReplyMode::ring;  // shared-memory reply rings
   int ikc_reply_depth = 64;              // completion slots per channel
-  Dur ikc_reply_post_cost = from_ns(80);   // write one completion slot
   Dur ikc_reply_wakeup_cost = from_ns(600);  // completion IPI to the LWK core
-  Dur ikc_reply_poll_interval = from_us(1);  // LWK slot-poll period
   Dur ikc_reply_poll_budget = from_us(200);  // polling before parking
   Dur ikc_reply_deadline = from_ms(2);   // parked consumer self-drains after
   // Autosize: grow a channel's reply ring (2x, up to ikc_reply_max_depth)
@@ -140,17 +157,11 @@ struct Config {
   Dur ikc_remote_drain_cost = from_ns(300);  // cross-socket ring-line pull
 
   // --- IKC multi-tenant QoS (ring mode only) ------------------------------
-  // Weighted-fair drain: service loops claim ring heads in per-job
-  // virtual-time order (vtime advances 1/weight per claimed request) inside
-  // each priority class, so N jobs sharing a loop split its drain capacity
-  // by weight instead of by who queued deepest. `false` keeps the PR-4
-  // strict two-class drain (all control across channels, then bulk) as the
-  // reference scheduler for the fairness equivalence harness; with a single
-  // job (or one job per channel) the two orders are identical by
-  // construction — the degenerate case the property test pins.
-  bool ikc_fair_drain = true;
-  // Per-job drain weight, indexed by JobId; jobs past the end (and an empty
-  // vector) weigh 1.0. Weights must be > 0.
+  // Service loops drain weighted-fair: they claim ring heads in per-job
+  // virtual-time order (vtime advances 1/weight per claimed request), so N
+  // jobs sharing a loop split its drain capacity by weight instead of by
+  // who queued deepest. Per-job drain weight, indexed by JobId; jobs past
+  // the end (and an empty vector) weigh 1.0. Weights must be > 0.
   std::vector<double> ikc_job_weights;
   // Admission control: bound each job's in-flight offloads (accepted but
   // not yet completed) to `ikc_job_credits × weight`, rounded up to >= 1.
@@ -192,7 +203,6 @@ struct Config {
   Dur tid_program_base = from_ns(400);
   Dur irq_handler = from_us(1.1);          // SDMA completion IRQ + callbacks
   Dur driver_open_cost = from_us(25);      // context setup in open()
-  Dur driver_mmap_cost = from_us(6);       // CSR/device mapping setup
   Dur driver_poll_cost = from_ns(700);
 
   // --- pd-doom command-queue accelerator ---------------------------------
@@ -206,7 +216,6 @@ struct Config {
   Dur doom_fence_irq_timeout = from_us(300);
 
   // --- PicoDriver-side costs --------------------------------------------
-  Dur pico_bind_cost = from_us(150);       // per-rank kernel-mapping setup
   Dur pico_lock_acquire = from_ns(60);     // shared spin-lock hand-off
   // Extent-cache hit: validate the generation + copy cached runs, instead
   // of the per-page table walk (registration-cache amortization, §3.4).
@@ -243,10 +252,6 @@ struct Config {
 
   // --- memory management ------------------------------------------------
   Dur mmap_base_cost = from_us(1.2);
-  Dur linux_mmap_per_page = from_ns(90);
-  Dur lwk_mmap_per_page = from_ns(60);     // large pages amortize
-  Dur linux_munmap_per_page = from_ns(70);
-  Dur lwk_munmap_per_page = from_ns(210);  // the §4.3 shortcoming (Fig. 9)
   double memcpy_bytes_per_sec = 5.0e9;     // single KNL core copy bandwidth
 
   // --- OS noise (nohz_full Linux vs noise-free LWK) ----------------------
@@ -265,14 +270,10 @@ struct Config {
   std::uint64_t pio_threshold = 8192;        // <= : PIO from user space
   std::uint64_t sdma_threshold = 65536;      // <= : eager SDMA; > : expected
   std::uint64_t expected_window = 131072;    // bytes per TID window / request
-  int expected_concurrency = 2;              // windows in flight per message
-  Dur psm_progress_poll = from_ns(150);      // one progress-loop iteration
   Dur psm_matching_cost = from_ns(250);      // MQ tag match per message
   Dur pio_send_overhead = from_ns(450);      // PIO doorbell + header build
-  Dur psm_wait_sleep = from_ns(400);         // kernel visit inside MPI_Wait
 
   // --- hardware ----------------------------------------------------------
-  std::uint64_t linux_sdma_desc_bytes = 4096;   // PAGE_SIZE cap (paper §3.4)
   std::uint64_t pico_sdma_desc_bytes = 10240;   // hardware max exploited
 
   /// Construction-time sanity check. A Config that selects the ring
@@ -290,8 +291,7 @@ struct Config {
                     "transport is drained by dedicated Linux service loops");
       if (ikc_ring_depth <= 0) return fail("ikc_ring_depth must be > 0");
       if (ikc_batch <= 0) return fail("ikc_batch must be > 0");
-      if (ikc_reply_mode == ReplyMode::ring && ikc_reply_depth <= 0)
-        return fail("ikc_reply_mode=ring needs ikc_reply_depth > 0");
+      if (ikc_reply_depth <= 0) return fail("ikc_reply_depth must be > 0");
       if (ikc_reply_autosize && ikc_reply_autosize_threshold <= 0)
         return fail("ikc_reply_autosize_threshold must be > 0");
       if (ikc_reply_autosize && ikc_reply_max_depth < ikc_reply_depth)

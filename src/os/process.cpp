@@ -218,7 +218,7 @@ sim::Task<Result<mem::VirtAddr>> Process::mmap_dev(int fd, std::uint64_t len,
 sim::Task<Result<mem::VirtAddr>> Process::mmap_anon(std::uint64_t len) {
   const Time t0 = engine().now();
   const std::uint64_t pages = mem::page_ceil(len, mem::kPage4K) / mem::kPage4K;
-  const Dur per_page = on_lwk() ? cfg().lwk_mmap_per_page : cfg().linux_mmap_per_page;
+  const Dur per_page = on_lwk() ? cost::lwk_mmap_per_page : cost::linux_mmap_per_page;
   co_await engine().delay(cfg().mmap_base_cost + static_cast<Dur>(pages) * per_page);
   auto va = as_->mmap_anonymous(len, mem::kProtRead | mem::kProtWrite);
   account("mmap", t0);
@@ -229,7 +229,7 @@ sim::Task<Result<mem::VirtAddr>> Process::mmap_anon(std::uint64_t len) {
 sim::Task<Result<long>> Process::munmap(mem::VirtAddr addr, std::uint64_t len) {
   const Time t0 = engine().now();
   const std::uint64_t pages = mem::page_ceil(len, mem::kPage4K) / mem::kPage4K;
-  const Dur per_page = on_lwk() ? cfg().lwk_munmap_per_page : cfg().linux_munmap_per_page;
+  const Dur per_page = on_lwk() ? cost::lwk_munmap_per_page : cost::linux_munmap_per_page;
   co_await engine().delay(cfg().mmap_base_cost / 2 + static_cast<Dur>(pages) * per_page);
   Status s = as_->munmap(addr, len);
   account("munmap", t0);

@@ -34,7 +34,7 @@ void FastPathPort::install(os::CharDevice& dev, os::FastPathOps ops) {
 sim::Task<> FastPathPort::rank_init() {
   // McKernel-side establishment of kernel mappings of driver internals —
   // the added MPI_Init cost the paper reports (Table 1, italic rows).
-  co_await mck_.engine().delay(mck_.config().pico_bind_cost);
+  co_await mck_.engine().delay(os::cost::pico_bind_cost);
 }
 
 int FastPathPort::lwk_cpu_for(const os::Process& proc) const {

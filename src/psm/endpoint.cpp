@@ -136,7 +136,7 @@ sim::Task<> Endpoint::wait(PsmHandle h) {
     // The real MPI progress path visits the kernel while waiting; one
     // nanosleep per wait keeps the Figure-8/9 profile honest without
     // busy-spinning the event queue.
-    co_await proc_.nanosleep(cfg_.psm_wait_sleep);
+    co_await proc_.nanosleep(os::cost::psm_wait_sleep);
     if (!h->complete) co_await h->done->wait();
   }
 }
@@ -265,7 +265,7 @@ sim::Task<> Endpoint::handle_rts(hw::RxEvent ev, PsmHandle recv) {
   recv->windows_total = ev.total_windows;
   active_recvs_[RecvKey{ev.src_node, ev.src_ctxt, ev.msg_id}] = recv;
   const std::uint32_t first_batch = std::min<std::uint32_t>(
-      recv->windows_total, static_cast<std::uint32_t>(cfg_.expected_concurrency));
+      recv->windows_total, static_cast<std::uint32_t>(os::cost::expected_concurrency));
   for (std::uint32_t w = 0; w < first_batch; ++w) co_await grant_window(recv, ev, w);
 }
 
@@ -380,7 +380,7 @@ sim::Task<> Endpoint::progress_loop() {
   while (true) {
     hw::RxEvent ev = co_await rx_->recv();
     if (!running_ && ev.match_bits == kPoisonTag) break;
-    co_await engine_.delay(cfg_.psm_progress_poll);
+    co_await engine_.delay(os::cost::psm_progress_poll);
 
     switch (ev.kind) {
       case hw::WireKind::ctrl:

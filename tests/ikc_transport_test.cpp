@@ -207,7 +207,7 @@ TEST(IkcTransport, SuspectLoopRecoversThroughProbe) {
 }
 
 TEST(IkcTransport, FairDrainNeverClaimsHeadsThatSettledMidCollect) {
-  // Regression: collect_batch_fair's scan sees a queued head, but the
+  // Regression: collect_batch's scan sees a queued head, but the
   // touch's awaits (lock hand-off, remote-drain surcharge) advance
   // simulated time before the pop. A head whose ring-residency deadline
   // fires inside that window is already being retried by its submitter on
@@ -217,7 +217,6 @@ TEST(IkcTransport, FairDrainNeverClaimsHeadsThatSettledMidCollect) {
   auto cfg = ring_cfg();
   cfg.linux_service_cpus = 2;
   cfg.ikc_channels = 4;
-  cfg.ikc_fair_drain = true;
   cfg.ikc_lock_cost = from_us(5);  // widen the scan → pop window
   cfg.ikc_deadline = from_us(40);  // heads settle while batches collect
   cfg.ikc_retry_backoff = from_us(1);
@@ -356,19 +355,6 @@ TEST(IkcReply, PollingConsumersNeedNoCompletionWakeups) {
   EXPECT_EQ(h.counter("ikc.reply.park"), 0u);
   for (int ch = 0; ch < h.transport->num_channels(); ++ch)
     EXPECT_EQ(h.transport->reply_ring_depth(ch), 0u) << "notifications must be reclaimed";
-}
-
-TEST(IkcReply, LatchModePaysOneWakeupPerRequest) {
-  auto cfg = ring_cfg();
-  cfg.ikc_reply_mode = os::ReplyMode::latch;
-  Harness h(cfg);
-  std::vector<long> order, results;
-  constexpr int kOps = 12;
-  for (int i = 0; i < kOps; ++i) h.submit(i, Priority::bulk, i, order, results);
-  h.engine.run();
-  ASSERT_EQ(results.size(), static_cast<std::size_t>(kOps));
-  EXPECT_EQ(h.counter("ikc.reply.wakeup"), static_cast<std::uint64_t>(kOps));
-  EXPECT_EQ(h.counter("ikc.reply.post"), 0u) << "latch mode must not touch reply rings";
 }
 
 TEST(IkcReply, ParkedConsumerWokenByOneDoorbellPerBatch) {

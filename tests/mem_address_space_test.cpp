@@ -467,18 +467,20 @@ TEST(ExtentCache, ReMmapAfterMunmapRewalksNotStale) {
     EXPECT_EQ((*fresh)[i].pa, (*truth)[i].pa);
 }
 
-TEST(ExtentCache, LruEvictionOrderAtCapacity) {
+TEST(ExtentCache, EvictionOrderAtCapacity) {
   PhysMap phys = small_map();
   AddressSpace as(phys, BackingPolicy::lwk_contig, MemKind::mcdram, kMmapBase);
   auto a = as.mmap_anonymous(16_KiB, kProtRead);
   auto b = as.mmap_anonymous(16_KiB, kProtRead);
   auto c = as.mmap_anonymous(16_KiB, kProtRead);
   ASSERT_TRUE(a.ok() && b.ok() && c.ok());
-  ExtentCache cache(/*capacity=*/2, ExtentCache::EvictionPolicy::lru);
+  ExtentCache cache(/*capacity=*/2);
   ExtentCache::Outcome outcome;
   ASSERT_TRUE(cache.lookup(as, *a, 16_KiB, 10240).ok());
   ASSERT_TRUE(cache.lookup(as, *b, 16_KiB, 10240).ok());
-  // Touch `a` so `b` is the LRU victim when `c` arrives.
+  // Touch `a` so `b` is the victim when `c` arrives (tick 4): equal sizes,
+  // so the score is (1 + hits) × bytes / (age + 1) — `b` scores 16 K/3
+  // (no hits, last used at tick 2) against `a`'s 32 K/2 (one hit, tick 3).
   ASSERT_TRUE(cache.lookup(as, *a, 16_KiB, 10240, &outcome).ok());
   EXPECT_EQ(outcome, ExtentCache::Outcome::hit);
   ASSERT_TRUE(cache.lookup(as, *c, 16_KiB, 10240, &outcome).ok());
@@ -488,7 +490,7 @@ TEST(ExtentCache, LruEvictionOrderAtCapacity) {
   ASSERT_TRUE(cache.lookup(as, *a, 16_KiB, 10240, &outcome).ok());
   EXPECT_EQ(outcome, ExtentCache::Outcome::hit) << "recently-used entry survives";
   ASSERT_TRUE(cache.lookup(as, *b, 16_KiB, 10240, &outcome).ok());
-  EXPECT_EQ(outcome, ExtentCache::Outcome::evicted_small) << "LRU entry was evicted";
+  EXPECT_EQ(outcome, ExtentCache::Outcome::evicted_small) << "lowest-score entry was evicted";
 }
 
 TEST(ExtentCache, SizeAwareEvictionKeepsLargeHotWindow) {
@@ -496,7 +498,7 @@ TEST(ExtentCache, SizeAwareEvictionKeepsLargeHotWindow) {
   AddressSpace as(phys, BackingPolicy::lwk_contig, MemKind::mcdram, kMmapBase);
   auto window = as.mmap_anonymous(2_MiB, kProtRead);  // persistent PSM window
   ASSERT_TRUE(window.ok());
-  ExtentCache cache(/*capacity=*/4, ExtentCache::EvictionPolicy::size_aware);
+  ExtentCache cache(/*capacity=*/4);
   ExtentCache::Outcome outcome;
   ASSERT_TRUE(cache.lookup(as, *window, 2_MiB, 10240).ok());
   for (int i = 0; i < 2; ++i) {  // accumulate hits on the window

@@ -340,8 +340,6 @@ TEST(ConfigValidate, RejectsDegenerateRingAndAdaptiveKnobs) {
   cfg.ikc_mode = IkcMode::ring;
   cfg.ikc_reply_depth = 0;
   EXPECT_FALSE(cfg.validate().ok());
-  cfg.ikc_reply_mode = ReplyMode::latch;  // knob only matters for reply rings
-  EXPECT_TRUE(cfg.validate().ok());
   cfg = Config{};
   cfg.ikc_mode = IkcMode::ring;
   cfg.ikc_adaptive_alpha = 0.0;

@@ -1,24 +1,22 @@
-// Weighted-fair drain equivalence + share properties (ISSUE 7).
+// Weighted-fair drain properties, checked against an oracle derived from
+// the scripted stream itself.
 //
-// The fair drain changes *which ring head* a service loop claims next
-// (per-job virtual time instead of class-then-channel sweeps) but must not
-// change *what* the transport does:
+// The fair drain decides *which ring head* a service loop claims next
+// (per-job virtual time, then class, then age) but must not change *what*
+// the transport does. For a seeded multi-tenant stream:
 //
-//   (a) Degenerate-weights equivalence — the same seeded multi-tenant
-//       stream driven through the strict PR-4 drain and through the fair
-//       drain with every weight equal must produce identical per-rank
-//       return values, identical errno streams, execute every service
-//       exactly once, and preserve the per-(channel, priority) FIFO
-//       contract. For a single tenant on one shared channel the claim
-//       ORDER itself must be identical — there the fair drain's (vtime,
-//       class, age) key collapses to class-then-FIFO, which is exactly
-//       the strict order.
-//   (b) Identical per-job completion sets — fair and strict drains may
-//       interleave tenants differently, but the set of (job, rank, op)
-//       completions and each job's completed count must match exactly.
+//   (a) every op returns its scripted payload, or EIO where the script
+//       fails it;
+//   (b) every op executes exactly once, and each job completes exactly its
+//       scripted (rank, op) set;
+//   (c) within one (channel, priority) ring, execution order equals
+//       submission order — the FIFO contract real IKC rings give the LWK;
+//   (d) for a single tenant funneled onto one ring, control claims before
+//       bulk: the (vtime, class, age) key collapses to class-then-FIFO, so
+//       no bulk op may run ahead of a control op submitted before it.
 //
-// A third property pins the weighted share itself: two saturating tenants
-// with weights 2:1 on one service loop must complete claims in ~2:1.
+// A further property pins the weighted share itself: two saturating
+// tenants with weights 2:1 on one service loop must complete claims ~2:1.
 //
 // Determinism: fixed default seed, overridable with PD_PROPERTY_SEED; a
 // failure prints the seed. Run with `ctest -L qos` (also `property`, `ikc`).
@@ -27,7 +25,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <set>
 #include <tuple>
 #include <vector>
@@ -68,6 +65,7 @@ struct RunResult {
   // results[rank][op] — what the submitter got back.
   std::vector<std::vector<long>> results;
   std::vector<std::vector<Errno>> errors;
+  std::vector<std::vector<Time>> submitted;  // [rank][op]: offload() called
   std::vector<ExecutionRecord> executed;  // service-side, in execution order
   std::vector<std::uint64_t> completed_per_job;
   std::uint64_t timeouts = 0;
@@ -79,6 +77,7 @@ sim::Task<> drive_rank(sim::Engine& engine, IkcTransport& transport,
                        RunResult& out) {
   for (int k = 0; k < static_cast<int>(script.size()); ++k) {
     const Op& op = script[static_cast<std::size_t>(k)];
+    out.submitted[static_cast<std::size_t>(rank)].push_back(engine.now());
     auto r = co_await transport.offload(
         [&engine, &op, &out, job, rank, k]() -> sim::Task<Result<long>> {
           co_await engine.delay(op.work);
@@ -95,30 +94,15 @@ sim::Task<> drive_rank(sim::Engine& engine, IkcTransport& transport,
 
 constexpr int kRanks = kJobs * kRanksPerJob;
 
-/// Drive the same scripted stream through one drain flavour.
-/// `shared_channel` >= 0 funnels every rank onto that one ring;
-/// `single_job` tags every rank with job 0 (the degenerate single-tenant
-/// case — with multiple tenants the fair drain may legitimately serve a
-/// lower-vtime tenant's bulk before another tenant's control, so exact
-/// claim-order equivalence is only pinned for one tenant).
-/// `atomic_collect` zeroes the lock hand-off and cross-socket drain costs
-/// so batch collection takes no simulated time. With nonzero costs a
-/// control request can *arrive mid-collection*: the fair drain's per-claim
-/// re-scan claims it in the current batch (control beats queued bulk at
-/// equal vtime), while the strict drain's control pass is already over, so
-/// it waits a full batch. That race changes claim order only — FIFO and
-/// completion sets stay identical (the equivalence test runs with the
-/// default costs) — so the order property is pinned where it is exact.
-RunResult run_stream(const std::vector<std::vector<Op>>& scripts, bool fair_drain,
-                     int shared_channel = -1, bool single_job = false,
-                     bool atomic_collect = false) {
+/// `funnel`: the single-tenant case — every rank is job 0 and submits on
+/// channel 0. Otherwise each rank has its own channel and ranks pair up
+/// into kJobs tenants.
+int job_of(int rank, bool funnel) { return funnel ? 0 : rank / kRanksPerJob; }
+
+/// Drive the scripted stream through the ring transport.
+RunResult run_stream(const std::vector<std::vector<Op>>& scripts, bool funnel = false) {
   os::Config cfg;
   cfg.ikc_mode = os::IkcMode::ring;
-  cfg.ikc_fair_drain = fair_drain;
-  if (atomic_collect) {
-    cfg.ikc_lock_cost = 0;
-    cfg.ikc_remote_drain_cost = 0;
-  }
   sim::Engine engine;
   os::LinuxKernel linux_kernel(engine, cfg);
   Samples queueing;
@@ -128,12 +112,11 @@ RunResult run_stream(const std::vector<std::vector<Op>>& scripts, bool fair_drai
   RunResult out;
   out.results.resize(kRanks);
   out.errors.resize(kRanks);
+  out.submitted.resize(kRanks);
   for (int rank = 0; rank < kRanks; ++rank) {
-    const int job = single_job ? 0 : rank / kRanksPerJob;
-    const int channel = shared_channel >= 0 ? shared_channel : rank;
     sim::spawn(engine, drive_rank(engine, transport,
-                                  scripts[static_cast<std::size_t>(rank)], job, rank,
-                                  channel, out));
+                                  scripts[static_cast<std::size_t>(rank)],
+                                  job_of(rank, funnel), rank, funnel ? 0 : rank, out));
   }
   engine.run();
   out.timeouts = linux_kernel.profiler().counter("ikc.ring.timeout");
@@ -163,109 +146,107 @@ std::vector<std::vector<Op>> make_scripts(std::uint64_t seed) {
   return scripts;
 }
 
-void expect_semantic_equivalence(const RunResult& strict, const RunResult& fair) {
-  // Happy path on both sides: a timeout would re-route through the direct
-  // fallback and muddy every ordering claim below.
-  EXPECT_EQ(strict.timeouts, 0u);
-  EXPECT_EQ(fair.timeouts, 0u);
-  EXPECT_EQ(strict.degraded, 0u);
-  EXPECT_EQ(fair.degraded, 0u);
+/// (a)–(c): what every scripted op must come back with, how often it runs,
+/// and in which order each (channel, class) ring serves it.
+void expect_matches_script(const std::vector<std::vector<Op>>& scripts, const RunResult& run,
+                           bool funnel) {
+  // Happy path: a timeout would re-route through the direct fallback and
+  // muddy every ordering claim below.
+  EXPECT_EQ(run.timeouts, 0u);
+  EXPECT_EQ(run.degraded, 0u);
 
-  // Identical return values and errno streams, op by op.
+  // (a) The scripted payload or EIO, op by op.
   for (int r = 0; r < kRanks; ++r) {
-    ASSERT_EQ(strict.results[r].size(), static_cast<std::size_t>(kOpsPerRank));
-    ASSERT_EQ(fair.results[r].size(), static_cast<std::size_t>(kOpsPerRank));
+    ASSERT_EQ(run.results[r].size(), static_cast<std::size_t>(kOpsPerRank));
     for (int k = 0; k < kOpsPerRank; ++k) {
-      EXPECT_EQ(strict.results[r][k], fair.results[r][k])
-          << "rank " << r << " op " << k << " diverged";
-      EXPECT_EQ(strict.errors[r][k], fair.errors[r][k])
-          << "rank " << r << " op " << k << " errno diverged";
+      const Op& op = scripts[r][k];
+      EXPECT_EQ(run.results[r][k], op.fail ? -1L : op.payload)
+          << "rank " << r << " op " << k << " returned the wrong payload";
+      EXPECT_EQ(run.errors[r][k], op.fail ? Errno::eio : Errno::ok)
+          << "rank " << r << " op " << k << " returned the wrong errno";
     }
   }
 
-  // Every scripted service ran exactly once under both drains.
-  ASSERT_EQ(strict.executed.size(), static_cast<std::size_t>(kRanks * kOpsPerRank));
-  ASSERT_EQ(fair.executed.size(), static_cast<std::size_t>(kRanks * kOpsPerRank));
+  // (b) Exactly once, and each job completes exactly its own scripted set.
+  ASSERT_EQ(run.executed.size(), static_cast<std::size_t>(kRanks * kOpsPerRank));
   std::vector<std::vector<int>> seen(kRanks, std::vector<int>(kOpsPerRank, 0));
-  for (const auto& e : fair.executed) ++seen[e.rank][e.op_index];
+  std::set<std::tuple<int, int, int>> executed_set, scripted_set;
+  for (const auto& e : run.executed) {
+    ++seen[e.rank][e.op_index];
+    executed_set.insert({e.job, e.rank, e.op_index});
+  }
   for (int r = 0; r < kRanks; ++r)
-    for (int k = 0; k < kOpsPerRank; ++k)
-      EXPECT_EQ(seen[r][k], 1) << "rank " << r << " op " << k << " executed "
-                               << seen[r][k] << " times under the fair drain";
-
-  // FIFO within one (channel, priority): each rank submits on one channel
-  // in increasing op order, so per (rank, class) the execution log must be
-  // increasing under both drains.
-  for (const RunResult* run : {&strict, &fair}) {
-    std::vector<int> last_control(kRanks, -1), last_bulk(kRanks, -1);
-    for (const auto& e : run->executed) {
-      auto& last = e.prio == Priority::control ? last_control : last_bulk;
-      EXPECT_LT(last[e.rank], e.op_index)
-          << "FIFO violated for rank " << e.rank << " ("
-          << (e.prio == Priority::control ? "control" : "bulk") << ")";
-      last[e.rank] = e.op_index;
+    for (int k = 0; k < kOpsPerRank; ++k) {
+      EXPECT_EQ(seen[r][k], 1) << "rank " << r << " op " << k << " executed " << seen[r][k]
+                               << " times";
+      scripted_set.insert({job_of(r, funnel), r, k});
     }
+  EXPECT_EQ(executed_set, scripted_set);
+  // JobStats::completed counts the offloads that returned a result.
+  std::vector<std::uint64_t> expected_per_job(kJobs, 0);
+  for (int r = 0; r < kRanks; ++r)
+    for (const Op& op : scripts[r])
+      if (!op.fail) ++expected_per_job[static_cast<std::size_t>(job_of(r, funnel))];
+  EXPECT_EQ(run.completed_per_job, expected_per_job);
+
+  // (c) FIFO within one (channel, class): submission time orders two ops
+  // of one ring (ties at one instant are left unordered). A rank's ops
+  // share a ring with other ranks' only when the stream is funneled.
+  for (std::size_t i = 0; i < run.executed.size(); ++i)
+    for (std::size_t j = i + 1; j < run.executed.size(); ++j) {
+      const auto& early = run.executed[i];
+      const auto& late = run.executed[j];
+      if (early.prio != late.prio || (!funnel && early.rank != late.rank)) continue;
+      EXPECT_FALSE(run.submitted[late.rank][late.op_index] <
+                   run.submitted[early.rank][early.op_index])
+          << "FIFO violated: rank " << late.rank << " op " << late.op_index
+          << " was submitted first but ran after rank " << early.rank << " op "
+          << early.op_index << " ("
+          << (early.prio == Priority::control ? "control" : "bulk") << ")";
+    }
+}
+
+/// (d): on one ring with one tenant, no bulk op runs ahead of a control op
+/// submitted strictly before it. One service loop owns the ring, so claim
+/// order is execution order; the later bulk op was queued (or not yet
+/// submitted) when the scan chose, and the earlier control op was queued.
+void expect_control_before_bulk(const RunResult& run) {
+  std::size_t checked = 0;
+  for (std::size_t i = 0; i < run.executed.size(); ++i) {
+    const auto& bulk = run.executed[i];
+    if (bulk.prio != Priority::bulk) continue;
+    for (std::size_t j = i + 1; j < run.executed.size(); ++j) {
+      const auto& control = run.executed[j];
+      if (control.prio != Priority::control) continue;
+      ++checked;
+      EXPECT_FALSE(run.submitted[control.rank][control.op_index] <
+                   run.submitted[bulk.rank][bulk.op_index])
+          << "bulk (rank " << bulk.rank << ", op " << bulk.op_index
+          << ") claimed ahead of earlier control (rank " << control.rank << ", op "
+          << control.op_index << ")";
+    }
+  }
+  EXPECT_GT(checked, 0u) << "the stream never interleaved the two classes";
+}
+
+TEST(IkcFairnessProperty, EqualWeightsServeEveryScriptedOpOnce) {
+  for (const std::uint64_t seed : {harness_seed(), harness_seed() ^ 0xB2}) {
+    SCOPED_TRACE(::testing::Message() << "PD_PROPERTY_SEED=" << seed);
+    const auto scripts = make_scripts(seed);
+    expect_matches_script(scripts, run_stream(scripts), /*funnel=*/false);
   }
 }
 
-TEST(IkcFairnessProperty, EqualWeightsEquivalentToStrictDrain) {
-  const std::uint64_t seed = harness_seed();
-  SCOPED_TRACE(::testing::Message() << "PD_PROPERTY_SEED=" << seed);
-  const auto scripts = make_scripts(seed);
-
-  const RunResult strict = run_stream(scripts, /*fair_drain=*/false);
-  const RunResult fair = run_stream(scripts, /*fair_drain=*/true);
-  expect_semantic_equivalence(strict, fair);
-}
-
-TEST(IkcFairnessProperty, SingleTenantClaimOrderIsIdentical) {
+TEST(IkcFairnessProperty, SingleTenantClaimsControlBeforeBulk) {
   // One tenant funneled onto one ring: every head carries the same job, so
   // head-only claiming in (vtime, class, age) order collapses to
-  // class-then-FIFO — byte-identical to the strict drain's claim order,
-  // the degenerate case the scheduler comments pin. Compare the execution
-  // logs entry by entry. Collection must be atomic (zero lock / remote
-  // costs) for exact order equality: see run_stream's doc comment for the
-  // mid-collection control-arrival race the fair drain wins by one batch.
+  // class-then-FIFO.
   const std::uint64_t seed = harness_seed() ^ 0x51;
   SCOPED_TRACE(::testing::Message() << "PD_PROPERTY_SEED=" << seed);
   const auto scripts = make_scripts(seed);
-
-  const RunResult strict =
-      run_stream(scripts, /*fair_drain=*/false, /*shared_channel=*/0, /*single_job=*/true,
-                 /*atomic_collect=*/true);
-  const RunResult fair =
-      run_stream(scripts, /*fair_drain=*/true, /*shared_channel=*/0, /*single_job=*/true,
-                 /*atomic_collect=*/true);
-  expect_semantic_equivalence(strict, fair);
-
-  ASSERT_EQ(strict.executed.size(), fair.executed.size());
-  for (std::size_t i = 0; i < strict.executed.size(); ++i) {
-    const auto& s = strict.executed[i];
-    const auto& f = fair.executed[i];
-    EXPECT_TRUE(s.rank == f.rank && s.op_index == f.op_index && s.prio == f.prio)
-        << "claim order diverged at position " << i << ": strict (rank " << s.rank
-        << ", op " << s.op_index << ") vs fair (rank " << f.rank << ", op "
-        << f.op_index << ")";
-  }
-}
-
-TEST(IkcFairnessProperty, FairAndStrictCompleteIdenticalPerJobSets) {
-  const std::uint64_t seed = harness_seed() ^ 0xB2;
-  SCOPED_TRACE(::testing::Message() << "PD_PROPERTY_SEED=" << seed);
-  const auto scripts = make_scripts(seed);
-
-  const RunResult strict = run_stream(scripts, /*fair_drain=*/false);
-  const RunResult fair = run_stream(scripts, /*fair_drain=*/true);
-
-  std::set<std::tuple<int, int, int>> strict_set, fair_set;
-  for (const auto& e : strict.executed) strict_set.insert({e.job, e.rank, e.op_index});
-  for (const auto& e : fair.executed) fair_set.insert({e.job, e.rank, e.op_index});
-  EXPECT_EQ(strict_set, fair_set);
-
-  ASSERT_EQ(strict.completed_per_job.size(), fair.completed_per_job.size());
-  for (int j = 0; j < kJobs; ++j)
-    EXPECT_EQ(strict.completed_per_job[j], fair.completed_per_job[j])
-        << "job " << j << " completed count diverged";
+  const RunResult run = run_stream(scripts, /*funnel=*/true);
+  expect_matches_script(scripts, run, /*funnel=*/true);
+  expect_control_before_bulk(run);
 }
 
 // --- weighted share under saturation ---------------------------------------
